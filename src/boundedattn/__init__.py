@@ -49,7 +49,6 @@ from .toymodel import (
     ToyLM,
     ToyModelConfig,
     ToySeq2Seq,
-    forward_lm,
     greedy_decode,
     train,
 )

@@ -21,6 +21,7 @@ is checked against central finite differences in the tests.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -194,8 +195,13 @@ def fold_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --- control weights ----------------------------------------------------------
 
 
-def _constant_strategy(config: AttentionConfig, spec: StrategySpec):
-    n = config.n
+@functools.lru_cache(maxsize=64)
+def _constant_strategy(n: int, spec: StrategySpec):
+    """Strategy object behind a constant control, built once per (n, spec).
+
+    Building a random-slot strategy draws its ``max_len`` slots, which a
+    decode step must not repeat for every token.
+    """
     if spec.kind == "local_to_global":
         pos = spec.global_positions or tuple(range(n))
         return st.LocalToGlobalControl(n=n, global_positions=pos)
@@ -213,7 +219,7 @@ def _constant_phi(config: AttentionConfig, params: LayerParams, length: int) -> 
         if length > spec.max_len:
             raise ValueError(f"sequence length {length} exceeds the fixed {spec.max_len}")
         return params.strategy_weights[:, :length].T.copy()
-    return st.phi_matrix(_constant_strategy(config, spec), length)
+    return st.phi_matrix(_constant_strategy(config.n, spec), length)
 
 
 def _constant_phi_row(config: AttentionConfig, params: LayerParams, t: int) -> np.ndarray:
@@ -222,7 +228,7 @@ def _constant_phi_row(config: AttentionConfig, params: LayerParams, t: int) -> n
         if t >= spec.max_len:
             raise ValueError(f"position {t} exceeds the fixed input length {spec.max_len}")
         return params.strategy_weights[:, t].copy()
-    return st.phi_at(_constant_strategy(config, spec), t, t + 1)
+    return st.phi_at(_constant_strategy(config.n, spec), t, t + 1)
 
 
 def _queue_gather_indices(config: AttentionConfig, length: int):
@@ -389,33 +395,17 @@ def _queue_causal_backward(dout, Q, K, V, cache, tau):
     return dQ, dKt.transpose(1, 2, 0, 3), dVt.transpose(1, 2, 0, 3)
 
 
-def _softmax_causal_forward(Q, K, V, tau):
-    N = Q.shape[2]
+def _softmax_forward(Q, K, V, tau, causal):
     s = np.matmul(Q, K.transpose(0, 1, 3, 2)) / tau
-    s = np.where(np.tril(np.ones((N, N), dtype=bool)), s, -np.inf)
+    if causal:
+        N = Q.shape[2]
+        s = np.where(np.tril(np.ones((N, N), dtype=bool)), s, -np.inf)
     a = softmax_rows(s)
     out = np.matmul(a, V)
     return out, {"a": a}
 
 
-def _softmax_causal_backward(dout, Q, K, V, cache, tau):
-    a = cache["a"]
-    da = np.matmul(dout, V.transpose(0, 1, 3, 2))
-    dV = np.matmul(a.transpose(0, 1, 3, 2), dout)
-    ds = softmax_rows_backward(a, da) / tau
-    dQ = np.matmul(ds, K)
-    dK = np.matmul(ds.transpose(0, 1, 3, 2), Q)
-    return dQ, dK, dV
-
-
-def _softmax_oneshot_forward(Q, K, V, tau):
-    s = np.matmul(Q, K.transpose(0, 1, 3, 2)) / tau
-    a = softmax_rows(s)
-    out = np.matmul(a, V)
-    return out, {"a": a}
-
-
-def _softmax_oneshot_backward(dout, Q, K, V, cache, tau):
+def _softmax_backward(dout, Q, K, V, cache, tau):
     a = cache["a"]
     da = np.matmul(dout, V.transpose(0, 1, 3, 2))
     dV = np.matmul(a.transpose(0, 1, 3, 2), dout)
@@ -436,6 +426,27 @@ def _cluster_phi(config: AttentionConfig, K: np.ndarray) -> np.ndarray:
             m = st.cluster_assign(K[b, h], config.n, spec.cluster_iters, make_rng(spec.seed))
             phi[b, h] = m / m.sum(axis=0)
     return phi
+
+
+def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: dict):
+    """Control over a whole key/value sequence (the encoder_self and cross sites).
+
+    (B, Nk, n), or (B, H, Nk, n) for cluster control; the mlp strategy's
+    pre-activations and normalizer go into ``tape`` for its backward.
+    """
+    spec = config.strategy
+    B, Nk, _ = Xkv.shape
+    if spec.kind == "mlp":
+        Z = Xkv @ params.strategy_weights.T
+        alpha = st.activation_forward(spec.activation, Z, clamp=st.EXP_CLAMP)
+        total = alpha.sum(axis=1)  # (B, n)
+        if np.any(total <= 0.0):
+            raise NumericError("sequence normalizer has a zero entry")
+        tape.update(Z=Z, alpha=alpha, total=total)
+        return alpha / total[:, None, :]
+    if spec.kind == "cluster":
+        return _cluster_phi(config, K)
+    return np.broadcast_to(_constant_phi(config, params, Nk), (B, Nk, config.n))
 
 
 # --- public batch forward/backward ----------------------------------------------
@@ -470,7 +481,6 @@ def mha_forward(
         Xkv = Xq
     H, tau = config.heads, config.tau
     B, N, _ = Xq.shape
-    Nk = Xkv.shape[1]
 
     Q = _split_heads(Xq @ params.wq, H)
     K = _split_heads(Xkv @ params.wk, H)
@@ -486,10 +496,7 @@ def mha_forward(
     )
 
     if spec.kind == "softmax":
-        if config.site == "causal":
-            out, cache = _softmax_causal_forward(Q, K, V, tau)
-        else:
-            out, cache = _softmax_oneshot_forward(Q, K, V, tau)
+        out, cache = _softmax_forward(Q, K, V, tau, config.site == "causal")
         ar["family"] = "softmax"
     elif config.site == "causal":
         if spec.kind in ("window", "dilated"):
@@ -512,18 +519,7 @@ def mha_forward(
             ar["family"] = "additive"
             ar["normalize"] = normalize
     else:
-        if spec.kind == "mlp":
-            Z = Xkv @ params.strategy_weights.T
-            alpha = st.activation_forward(spec.activation, Z, clamp=st.EXP_CLAMP)
-            total = alpha.sum(axis=1)  # (B, n)
-            if np.any(total <= 0.0):
-                raise NumericError("sequence normalizer has a zero entry")
-            phi = alpha / total[:, None, :]
-            ar.update(Z=Z, alpha=alpha, total=total)
-        elif spec.kind == "cluster":
-            phi = _cluster_phi(config, K)
-        else:
-            phi = np.broadcast_to(_constant_phi(config, params, Nk), (B, Nk, config.n))
+        phi = _sequence_phi(config, params, Xkv, K, ar)
         out, cache = _oneshot_forward(Q, K, V, phi, tau)
         ar["family"] = "oneshot"
 
@@ -560,10 +556,7 @@ def mha_backward(tape: GradTape, d_out):
     dA = None
     family = ar["family"]
     if family == "softmax":
-        if config.site == "causal":
-            dQ, dK, dV = _softmax_causal_backward(dout_h, Q, K, V, cache, tau)
-        else:
-            dQ, dK, dV = _softmax_oneshot_backward(dout_h, Q, K, V, cache, tau)
+        dQ, dK, dV = _softmax_backward(dout_h, Q, K, V, cache, tau)
     elif family == "queue":
         dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, tau)
     elif family == "additive":
@@ -691,18 +684,7 @@ def init_attn_state(
         V = _split_heads(enc @ params.wv, H)
         if spec.kind == "softmax":
             return AttnState(config=config, kcache=K, vcache=V, t=K.shape[2], static=True)
-        if spec.kind == "mlp":
-            alpha = st.activation_forward(
-                spec.activation, enc @ params.strategy_weights.T, clamp=st.EXP_CLAMP
-            )
-            total = alpha.sum(axis=1)
-            if np.any(total <= 0.0):
-                raise NumericError("sequence normalizer has a zero entry")
-            phi = alpha / total[:, None, :]
-        elif spec.kind == "cluster":
-            phi = _cluster_phi(config, K)
-        else:
-            phi = np.broadcast_to(_constant_phi(config, params, enc.shape[1]), (enc.shape[0], enc.shape[1], n))
+        phi = _sequence_phi(config, params, enc, K, {})
         eq = "bhtn,bhtd->bhnd" if phi.ndim == 4 else "btn,bhtd->bhnd"
         return AttnState(
             config=config,

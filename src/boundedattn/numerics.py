@@ -90,14 +90,6 @@ def outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return check_finite(np.outer(x, y), "outer product")
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul mismatch: {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
-
-
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:

@@ -167,19 +167,11 @@ ControlStrategy = Union[
 ]
 
 
-def slot_count(strategy: ControlStrategy) -> int:
-    return strategy.n
-
-
 def transition_for(strategy: ControlStrategy) -> TransitionOp:
     """Queue strategies shift slots before each write; the rest accumulate."""
     if isinstance(strategy, (WindowControl, DilatedControl)):
         return TransitionOp.upper_shift(strategy.n)
     return TransitionOp.identity(strategy.n)
-
-
-def is_learned(strategy: ControlStrategy) -> bool:
-    return isinstance(strategy, (LinformerControl, MlpControl))
 
 
 def causal_legal(strategy: ControlStrategy) -> bool:

@@ -1,7 +1,11 @@
 """Desk-scale transformer LM and seq2seq built on the bounded-memory attention.
 
 Pre-norm blocks, ReLU feed-forward, learned token and position embeddings,
-no biases outside layer norms.  Parameters live in one flat name -> array
+no biases outside layer norms.  One block implementation, ``_Stack``, holds
+the batch forward, the backward and the streaming decode step for any
+ordered list of attention sites; the LM decoder, the seq2seq encoder and the
+seq2seq decoder are three instances of it.  The models add only the
+embeddings and the logits head.  Parameters live in one flat name -> array
 dict (every array 2-D), which keeps the optimizer, the gradient checks and
 the checkpoint container uniform.  The backward pass is the same manual
 chain style as the attention module.
@@ -99,60 +103,12 @@ class TaskSpec:
             raise ValueError("bad length range")
 
 
-# --- parameter init -------------------------------------------------------------
+# --- layer norm and ffn ------------------------------------------------------------
 
 
 def _ln_params(params, name, d):
     params[f"{name}.g"] = np.ones((1, d))
     params[f"{name}.b"] = np.zeros((1, d))
-
-
-def _block_params(params, prefix, cfg: ToyModelConfig, rng, sites):
-    d, mult = cfg.d_model, cfg.ffn_mult
-    scale = 1.0 / np.sqrt(d)
-    _ln_params(params, f"{prefix}.ln1", d)
-    for site_name, _ in sites:
-        for w in ("wq", "wk", "wv", "wo"):
-            params[f"{prefix}.{site_name}.{w}"] = rng.normal(0.0, scale, (d, d))
-    if len(sites) > 1:
-        _ln_params(params, f"{prefix}.ln_cross", d)
-    _ln_params(params, f"{prefix}.ln2", d)
-    params[f"{prefix}.ffn.w1"] = rng.normal(0.0, scale, (d, mult * d))
-    params[f"{prefix}.ffn.w2"] = rng.normal(0.0, 1.0 / np.sqrt(mult * d), (mult * d, d))
-
-
-def _strategy_param_keys(cfg: ToyModelConfig, stack: str, site: str, layers: int):
-    """Names of the strategy-weight arrays for one attention site."""
-    att = cfg.site_config(site)
-    if not att.strategy.needs_weights():
-        return {}
-    if cfg.tie_phi_across_layers:
-        return {i: f"phi.{site}" for i in range(layers)}
-    return {i: f"{stack}{i}.{'attn' if site != 'cross' else 'cross'}.sw" for i in range(layers)}
-
-
-class _Stack:
-    """Shared forward/backward machinery for a block stack (encoder or decoder)."""
-
-    def __init__(self, model, prefix, sites):
-        self.model = model
-        self.prefix = prefix  # "enc" or "dec"
-        self.sites = sites  # [("attn", causal/encoder_self cfg), ("cross", cfg)?]
-
-    def layer_params(self, i, site_name) -> LayerParams:
-        p = self.model.params
-        base = f"{self.prefix}{i}.{site_name}"
-        key = self.model.strategy_keys.get((self.prefix, site_name), {}).get(i)
-        return LayerParams(
-            wq=p[f"{base}.wq"],
-            wk=p[f"{base}.wk"],
-            wv=p[f"{base}.wv"],
-            wo=p[f"{base}.wo"],
-            strategy_weights=p[key] if key else None,
-        )
-
-
-# --- layer norm and ffn ------------------------------------------------------------
 
 
 def layer_norm_forward(x, g, b):
@@ -193,7 +149,7 @@ def ffn_backward(df, cache, w1, w2):
     return dz @ w1.T, dw1, dw2
 
 
-# --- the decoder-only language model -------------------------------------------------
+# --- the transformer block stack ---------------------------------------------------
 
 
 @dataclass
@@ -211,31 +167,173 @@ class DecoderState:
         return total
 
 
-class ToyLM:
-    """Decoder-only LM: embeddings, pre-norm blocks with causal attention."""
+_PROJ = ("wq", "wk", "wv", "wo")
+_SITE_LN = {"attn": "ln1", "cross": "ln_cross"}  # the pre-norm in front of each site
 
-    def __init__(self, config: ToyModelConfig, rng: np.random.Generator | None = None):
+
+class _Stack:
+    """``layers`` pre-norm blocks plus a final layer norm: the one block code.
+
+    ``sites`` is the ordered attention sites of every block, as (name,
+    model site) pairs: [("attn", "encoder_self")] for the encoder,
+    [("attn", "causal")] for the LM, [("attn", "causal"), ("cross",
+    "cross")] for the seq2seq decoder.  Each site is x += site(LN(x)), then
+    x += FFN(LN(x)).  A "cross" site reads the encoder output.  The stack
+    knows the names of its parameters, not the model: every method takes the
+    parameter dict.
+    """
+
+    def __init__(self, cfg: ToyModelConfig, prefix: str, final_ln: str, sites):
+        self.prefix = prefix  # "enc" or "dec"
+        self.final_ln = final_ln
+        self.layers = cfg.layers
+        self.d_model, self.ffn_mult = cfg.d_model, cfg.ffn_mult
+        self.sites = [(name, cfg.site_config(site)) for name, site in sites]
+        # strategy-weight array per (site name, layer); tied layers share one
+        self.sw_keys = {}
+        for name, att in self.sites:
+            if not att.strategy.needs_weights():
+                self.sw_keys[name] = [None] * self.layers
+            elif cfg.tie_phi_across_layers:
+                self.sw_keys[name] = [f"phi.{att.site}"] * self.layers
+            else:
+                self.sw_keys[name] = [f"{prefix}{i}.{name}.sw" for i in range(self.layers)]
+
+    def init_params(self, params, rng):
+        d, mult = self.d_model, self.ffn_mult
+        scale = 1.0 / np.sqrt(d)
+        for i in range(self.layers):
+            base = f"{self.prefix}{i}"
+            _ln_params(params, f"{base}.ln1", d)
+            for name, _ in self.sites:
+                for w in _PROJ:
+                    params[f"{base}.{name}.{w}"] = rng.normal(0.0, scale, (d, d))
+            # later sites' norms follow all projections: the dict order fixes
+            # the summation order of the gradient norm in adam_update
+            for name, _ in self.sites[1:]:
+                _ln_params(params, f"{base}.{_SITE_LN[name]}", d)
+            _ln_params(params, f"{base}.ln2", d)
+            params[f"{base}.ffn.w1"] = rng.normal(0.0, scale, (d, mult * d))
+            params[f"{base}.ffn.w2"] = rng.normal(0.0, 1.0 / np.sqrt(mult * d), (mult * d, d))
+        _ln_params(params, self.final_ln, d)
+
+    def init_strategy_params(self, params, rng):
+        for name, att in self.sites:
+            for key in self.sw_keys[name]:
+                if key is not None and key not in params:
+                    params[key] = init_strategy_weights(att, rng)
+
+    def layer_params(self, params, i, name) -> LayerParams:
+        base = f"{self.prefix}{i}.{name}"
+        key = self.sw_keys[name][i]
+        return LayerParams(
+            wq=params[f"{base}.wq"],
+            wk=params[f"{base}.wk"],
+            wv=params[f"{base}.wv"],
+            wo=params[f"{base}.wo"],
+            strategy_weights=params[key] if key else None,
+        )
+
+    def _ln(self, params, x, name):
+        return layer_norm_forward(x, params[f"{name}.g"], params[f"{name}.b"])
+
+    def forward(self, params, x, enc_out=None):
+        """(B, N, d) -> final-normed (B, N, d), plus the tape for backward."""
+        layers = []
+        for i in range(self.layers):
+            base = f"{self.prefix}{i}"
+            lt = {}
+            for name, att in self.sites:
+                ln = _SITE_LN[name]
+                h, lt[ln] = self._ln(params, x, f"{base}.{ln}")
+                kv = enc_out if name == "cross" else None
+                a, lt[name], _ = mha_forward(h, kv, self.layer_params(params, i, name), att)
+                x = x + a
+            h2, lt["ln2"] = self._ln(params, x, f"{base}.ln2")
+            f, lt["ffn"] = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
+            x = x + f
+            layers.append(lt)
+        out, final = self._ln(params, x, self.final_ln)
+        return out, {"layers": layers, "final_ln": final}
+
+    def backward(self, params, tape, d_out, grads):
+        """Accumulates into ``grads``; returns (dx, d_enc summed over cross sites)."""
+        dx, dg, db = layer_norm_backward(d_out, tape["final_ln"])
+        grads[f"{self.final_ln}.g"] += dg
+        grads[f"{self.final_ln}.b"] += db
+        d_enc = None
+        for i in reversed(range(self.layers)):
+            base = f"{self.prefix}{i}"
+            lt = tape["layers"][i]
+            w1, w2 = f"{base}.ffn.w1", f"{base}.ffn.w2"
+            dh2, dw1, dw2 = ffn_backward(dx, lt["ffn"], params[w1], params[w2])
+            grads[w1] += dw1
+            grads[w2] += dw2
+            dx = dx + self._ln_backward(grads, dh2, lt["ln2"], f"{base}.ln2")
+            for name, _ in reversed(self.sites):
+                agrads, dh, denc_i = mha_backward(lt[name], dx)
+                for w in _PROJ:
+                    grads[f"{base}.{name}.{w}"] += agrads[w]
+                key = self.sw_keys[name][i]
+                if key is not None:
+                    grads[key] += agrads["strategy_weights"]
+                if denc_i is not None:
+                    d_enc = denc_i if d_enc is None else d_enc + denc_i
+                ln = _SITE_LN[name]
+                dx = dx + self._ln_backward(grads, dh, lt[ln], f"{base}.{ln}")
+        return dx, d_enc
+
+    @staticmethod
+    def _ln_backward(grads, dy, cache, name):
+        dx, dg, db = layer_norm_backward(dy, cache)
+        grads[f"{name}.g"] += dg
+        grads[f"{name}.b"] += db
+        return dx
+
+    def init_state(self, params, batch, capacity, enc_out=None) -> DecoderState:
+        """Fresh decode state; cross sites build their memory from ``enc_out``."""
+        return DecoderState(**{
+            name: [
+                init_attn_state(
+                    att, self.layer_params(params, i, name), batch, capacity,
+                    enc_out if name == "cross" else None,
+                )
+                for i in range(self.layers)
+            ]
+            for name, att in self.sites
+        })
+
+    def step(self, params, x, state: DecoderState):
+        """One decode position: (B, d) -> final-normed (B, d); advances ``state``."""
+        for i in range(self.layers):
+            base = f"{self.prefix}{i}"
+            for name, att in self.sites:
+                h, _ = self._ln(params, x, f"{base}.{_SITE_LN[name]}")
+                lp = self.layer_params(params, i, name)
+                x = x + stream_step(h, lp, att, getattr(state, name)[i])
+            h2, _ = self._ln(params, x, f"{base}.ln2")
+            f, _ = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
+            x = x + f
+        out, _ = self._ln(params, x, self.final_ln)
+        return out
+
+
+class _Model:
+    """Embeddings, the logits head and the bookkeeping both models share."""
+
+    def __init__(self, config: ToyModelConfig, rng, stacks):
         self.config = config
         rng = rng if rng is not None else make_rng(config.seed)
-        cfg = config
-        d = cfg.d_model
+        d = config.d_model
         params: dict[str, np.ndarray] = {}
-        params["tok_emb"] = rng.normal(0.0, 0.02, (cfg.vocab, d))
-        params["pos_emb"] = rng.normal(0.0, 0.02, (cfg.max_positions, d))
-        sites = [("attn", cfg.site_config("causal"))]
-        for i in range(cfg.layers):
-            _block_params(params, f"dec{i}", cfg, rng, sites)
-        _ln_params(params, "final_ln", d)
-        params["out_w"] = rng.normal(0.0, 0.02, (d, cfg.vocab))
+        params["tok_emb"] = rng.normal(0.0, 0.02, (config.vocab, d))
+        params["pos_emb"] = rng.normal(0.0, 0.02, (config.max_positions, d))
+        for stack in stacks:
+            stack.init_params(params, rng)
+        params["out_w"] = rng.normal(0.0, 0.02, (d, config.vocab))
+        for stack in stacks:
+            stack.init_strategy_params(params, rng)
         self.params = params
-        self.strategy_keys = {("dec", "attn"): _strategy_param_keys(cfg, "dec", "causal", cfg.layers)}
-        for keys in self.strategy_keys.values():
-            for i, key in keys.items():
-                if key not in params:
-                    params[key] = init_strategy_weights(cfg.site_config("causal"), rng)
-        self.stack = _Stack(self, "dec", sites)
-
-    # -- bookkeeping
 
     def param_count(self) -> int:
         return sum(a.size for a in self.params.values())
@@ -248,103 +346,69 @@ class ToyLM:
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    # -- batch paths
-
-    def forward(self, tokens):
+    def _embed(self, tokens):
+        """(B, N) or (N,) ids -> (ids as (B, N), token + position embeddings)."""
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
-        B, N = tokens.shape
         cfg = self.config
+        N = tokens.shape[1]
         if N > cfg.max_positions:
             raise ValueError(f"sequence length {N} exceeds max positions {cfg.max_positions}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab:
             raise ValueError("token id outside vocabulary")
-        p = self.params
-        x = p["tok_emb"][tokens] + p["pos_emb"][:N]
-        att_cfg = cfg.site_config("causal")
-        tape = {"tokens": tokens, "layers": []}
-        for i in range(cfg.layers):
-            lt = {}
-            h, lt["ln1"] = layer_norm_forward(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
-            a, lt["att"], _ = mha_forward(h, None, self.stack.layer_params(i, "attn"), att_cfg)
-            x = x + a
-            h2, lt["ln2"] = layer_norm_forward(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
-            f, lt["ffn"] = ffn_forward(h2, p[f"dec{i}.ffn.w1"], p[f"dec{i}.ffn.w2"])
-            x = x + f
-            tape["layers"].append(lt)
-        xf, tape["final_ln"] = layer_norm_forward(x, p["final_ln.g"], p["final_ln.b"])
-        tape["xf"] = xf
-        logits = xf @ p["out_w"]
-        return check_finite(logits, "logits"), tape
+        return tokens, self.params["tok_emb"][tokens] + self.params["pos_emb"][:N]
+
+    def _embed_backward(self, grads, tokens, dx):
+        grads["pos_emb"][: tokens.shape[1]] += dx.sum(axis=0)
+        np.add.at(grads["tok_emb"], tokens, dx)
+
+    def _embed_step(self, tokens_t, pos):
+        if pos >= self.config.max_positions:
+            raise ValueError("decode ran past max positions")
+        tokens_t = np.asarray(tokens_t).reshape(-1)
+        return self.params["tok_emb"][tokens_t] + self.params["pos_emb"][pos]
+
+    def _head_backward(self, xf, dlogits):
+        """Fresh gradient dict holding the head's gradients, and d(xf)."""
+        grads = self.zero_grads()
+        grads["out_w"] = fold_outer(xf, dlogits)
+        return grads, dlogits @ self.params["out_w"].T
+
+
+# --- the decoder-only language model -------------------------------------------------
+
+
+class ToyLM(_Model):
+    """Decoder-only LM: embeddings, pre-norm blocks with causal attention."""
+
+    def __init__(self, config: ToyModelConfig, rng: np.random.Generator | None = None):
+        self.stack = _Stack(config, "dec", "final_ln", [("attn", "causal")])
+        super().__init__(config, rng, [self.stack])
+
+    def forward(self, tokens):
+        """Batch logits for a (B, N) or (N,) token array, plus the gradient tape."""
+        tokens, x = self._embed(tokens)
+        xf, tape = self.stack.forward(self.params, x)
+        tape.update(tokens=tokens, xf=xf)
+        return check_finite(xf @ self.params["out_w"], "logits"), tape
 
     def backward(self, tape, dlogits) -> dict[str, np.ndarray]:
-        p = self.params
-        grads = self.zero_grads()
-        tokens = tape["tokens"]
-        N = tokens.shape[1]
-        grads["out_w"] = fold_outer(tape["xf"], dlogits)
-        dx, dg, db = layer_norm_backward(dlogits @ p["out_w"].T, tape["final_ln"])
-        grads["final_ln.g"], grads["final_ln.b"] = dg, db
-        for i in reversed(range(self.config.layers)):
-            lt = tape["layers"][i]
-            dh2, dw1, dw2 = ffn_backward(dx, lt["ffn"], p[f"dec{i}.ffn.w1"], p[f"dec{i}.ffn.w2"])
-            grads[f"dec{i}.ffn.w1"] += dw1
-            grads[f"dec{i}.ffn.w2"] += dw2
-            dres, dg, db = layer_norm_backward(dh2, lt["ln2"])
-            grads[f"dec{i}.ln2.g"] += dg
-            grads[f"dec{i}.ln2.b"] += db
-            dx = dx + dres
-            agrads, dh, _ = mha_backward(lt["att"], dx)
-            for w in ("wq", "wk", "wv", "wo"):
-                grads[f"dec{i}.attn.{w}"] += agrads[w]
-            key = self.strategy_keys[("dec", "attn")].get(i)
-            if key is not None:
-                grads[key] += agrads["strategy_weights"]
-            dres, dg, db = layer_norm_backward(dh, lt["ln1"])
-            grads[f"dec{i}.ln1.g"] += dg
-            grads[f"dec{i}.ln1.b"] += db
-            dx = dx + dres
-        grads["pos_emb"][:N] = dx.sum(axis=0)
-        np.add.at(grads["tok_emb"], tokens, dx)
+        grads, dxf = self._head_backward(tape["xf"], dlogits)
+        dx, _ = self.stack.backward(self.params, tape, dxf, grads)
+        self._embed_backward(grads, tape["tokens"], dx)
         return grads
 
-    # -- streaming paths
-
     def init_state(self, batch: int, capacity: int | None = None) -> DecoderState:
-        cfg = self.config
-        capacity = cfg.max_positions if capacity is None else capacity
-        att_cfg = cfg.site_config("causal")
-        return DecoderState(
-            attn=[
-                init_attn_state(att_cfg, self.stack.layer_params(i, "attn"), batch, capacity)
-                for i in range(cfg.layers)
-            ]
-        )
+        capacity = self.config.max_positions if capacity is None else capacity
+        return self.stack.init_state(self.params, batch, capacity)
 
     def step(self, tokens_t, state: DecoderState):
         """One streaming step: tokens_t (B,) -> logits (B, vocab)."""
-        p = self.params
-        cfg = self.config
-        tokens_t = np.asarray(tokens_t).reshape(-1)
-        if state.pos >= cfg.max_positions:
-            raise ValueError("decode ran past max positions")
-        x = p["tok_emb"][tokens_t] + p["pos_emb"][state.pos]
-        att_cfg = cfg.site_config("causal")
-        for i in range(cfg.layers):
-            h, _ = layer_norm_forward(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
-            x = x + stream_step(h, self.stack.layer_params(i, "attn"), att_cfg, state.attn[i])
-            h2, _ = layer_norm_forward(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
-            z = h2 @ p[f"dec{i}.ffn.w1"]
-            x = x + np.maximum(z, 0.0) @ p[f"dec{i}.ffn.w2"]
-        xf, _ = layer_norm_forward(x, p["final_ln.g"], p["final_ln.b"])
+        x = self._embed_step(tokens_t, state.pos)
+        xf = self.stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ p["out_w"]
-
-
-def forward_lm(tokens, model: ToyLM):
-    """Batch logits for a (B, N) or (N,) token array, plus the gradient tape."""
-    return model.forward(tokens)
+        return xf @ self.params["out_w"]
 
 
 # --- loss -----------------------------------------------------------------------
@@ -606,7 +670,7 @@ def greedy_decode(model, prefix, max_len: int):
 # --- sequence-to-sequence ------------------------------------------------------------
 
 
-class ToySeq2Seq:
+class ToySeq2Seq(_Model):
     """Encoder-decoder exercising all three attention sites.
 
     The encoder runs self-attention blocks over the source; the decoder
@@ -617,213 +681,43 @@ class ToySeq2Seq:
     def __init__(self, config: ToyModelConfig, rng: np.random.Generator | None = None):
         if config.encoder is None or config.cross is None:
             raise ValueError("seq2seq needs encoder and cross site configs")
-        self.config = config
-        rng = rng if rng is not None else make_rng(config.seed)
-        cfg = config
-        d = cfg.d_model
-        params: dict[str, np.ndarray] = {}
-        params["tok_emb"] = rng.normal(0.0, 0.02, (cfg.vocab, d))
-        params["pos_emb"] = rng.normal(0.0, 0.02, (cfg.max_positions, d))
-        enc_sites = [("attn", cfg.site_config("encoder_self"))]
-        dec_sites = [("attn", cfg.site_config("causal")), ("cross", cfg.site_config("cross"))]
-        for i in range(cfg.layers):
-            _block_params(params, f"enc{i}", cfg, rng, enc_sites)
-        _ln_params(params, "enc_final_ln", d)
-        for i in range(cfg.layers):
-            _block_params(params, f"dec{i}", cfg, rng, dec_sites)
-        _ln_params(params, "final_ln", d)
-        params["out_w"] = rng.normal(0.0, 0.02, (d, cfg.vocab))
-        self.params = params
-        self.strategy_keys = {
-            ("enc", "attn"): _strategy_param_keys(cfg, "enc", "encoder_self", cfg.layers),
-            ("dec", "attn"): _strategy_param_keys(cfg, "dec", "causal", cfg.layers),
-            ("dec", "cross"): _strategy_param_keys(cfg, "dec", "cross", cfg.layers),
-        }
-        for (stack, site_name), keys in self.strategy_keys.items():
-            site = {"enc": "encoder_self", "dec": "causal"}[stack] if site_name == "attn" else "cross"
-            for i, key in keys.items():
-                if key not in params:
-                    params[key] = init_strategy_weights(cfg.site_config(site), rng)
-        self.enc_stack = _Stack(self, "enc", enc_sites)
-        self.dec_stack = _Stack(self, "dec", dec_sites)
-
-    def param_count(self) -> int:
-        return sum(a.size for a in self.params.values())
-
-    def strategy_param_count(self) -> int:
-        return sum(
-            a.size for k, a in self.params.items() if k.startswith("phi.") or k.endswith(".sw")
-        )
-
-    def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.enc_stack = _Stack(config, "enc", "enc_final_ln", [("attn", "encoder_self")])
+        self.dec_stack = _Stack(config, "dec", "final_ln", [("attn", "causal"), ("cross", "cross")])
+        super().__init__(config, rng, [self.enc_stack, self.dec_stack])
 
     def encode(self, src):
-        p = self.params
-        cfg = self.config
-        src = np.asarray(src)
-        if src.ndim == 1:
-            src = src[None, :]
-        x = p["tok_emb"][src] + p["pos_emb"][: src.shape[1]]
-        att_cfg = cfg.site_config("encoder_self")
-        tape = {"src": src, "layers": []}
-        for i in range(cfg.layers):
-            lt = {}
-            h, lt["ln1"] = layer_norm_forward(x, p[f"enc{i}.ln1.g"], p[f"enc{i}.ln1.b"])
-            a, lt["att"], _ = mha_forward(h, None, self.enc_stack.layer_params(i, "attn"), att_cfg)
-            x = x + a
-            h2, lt["ln2"] = layer_norm_forward(x, p[f"enc{i}.ln2.g"], p[f"enc{i}.ln2.b"])
-            f, lt["ffn"] = ffn_forward(h2, p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.w2"])
-            x = x + f
-            tape["layers"].append(lt)
-        out, tape["final_ln"] = layer_norm_forward(x, p["enc_final_ln.g"], p["enc_final_ln.b"])
+        src, x = self._embed(src)
+        out, tape = self.enc_stack.forward(self.params, x)
+        tape["tokens"] = src
         return out, tape
 
     def forward(self, src, tgt):
-        p = self.params
-        cfg = self.config
         enc_out, enc_tape = self.encode(src)
-        tgt = np.asarray(tgt)
-        if tgt.ndim == 1:
-            tgt = tgt[None, :]
-        x = p["tok_emb"][tgt] + p["pos_emb"][: tgt.shape[1]]
-        causal_cfg = cfg.site_config("causal")
-        cross_cfg = cfg.site_config("cross")
-        tape = {"enc": enc_tape, "tgt": tgt, "layers": []}
-        for i in range(cfg.layers):
-            lt = {}
-            h, lt["ln1"] = layer_norm_forward(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
-            a, lt["att"], _ = mha_forward(h, None, self.dec_stack.layer_params(i, "attn"), causal_cfg)
-            x = x + a
-            hc, lt["ln_cross"] = layer_norm_forward(x, p[f"dec{i}.ln_cross.g"], p[f"dec{i}.ln_cross.b"])
-            c, lt["cross"], _ = mha_forward(
-                hc, enc_out, self.dec_stack.layer_params(i, "cross"), cross_cfg
-            )
-            x = x + c
-            h2, lt["ln2"] = layer_norm_forward(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
-            f, lt["ffn"] = ffn_forward(h2, p[f"dec{i}.ffn.w1"], p[f"dec{i}.ffn.w2"])
-            x = x + f
-            tape["layers"].append(lt)
-        xf, tape["final_ln"] = layer_norm_forward(x, p["final_ln.g"], p["final_ln.b"])
-        tape["xf"] = xf
-        logits = xf @ p["out_w"]
-        return check_finite(logits, "logits"), tape
+        tgt, x = self._embed(tgt)
+        xf, tape = self.dec_stack.forward(self.params, x, enc_out)
+        tape.update(enc=enc_tape, tokens=tgt, xf=xf)
+        return check_finite(xf @ self.params["out_w"], "logits"), tape
 
     def backward(self, tape, dlogits):
-        p = self.params
-        cfg = self.config
-        grads = self.zero_grads()
-        tgt = tape["tgt"]
-        grads["out_w"] = fold_outer(tape["xf"], dlogits)
-        dx, dg, db = layer_norm_backward(dlogits @ p["out_w"].T, tape["final_ln"])
-        grads["final_ln.g"], grads["final_ln.b"] = dg, db
-        d_enc = None
-        for i in reversed(range(cfg.layers)):
-            lt = tape["layers"][i]
-            dh2, dw1, dw2 = ffn_backward(dx, lt["ffn"], p[f"dec{i}.ffn.w1"], p[f"dec{i}.ffn.w2"])
-            grads[f"dec{i}.ffn.w1"] += dw1
-            grads[f"dec{i}.ffn.w2"] += dw2
-            dres, dg, db = layer_norm_backward(dh2, lt["ln2"])
-            grads[f"dec{i}.ln2.g"] += dg
-            grads[f"dec{i}.ln2.b"] += db
-            dx = dx + dres
-            cgrads, dhc, denc_i = mha_backward(lt["cross"], dx)
-            for w in ("wq", "wk", "wv", "wo"):
-                grads[f"dec{i}.cross.{w}"] += cgrads[w]
-            ckey = self.strategy_keys[("dec", "cross")].get(i)
-            if ckey is not None:
-                grads[ckey] += cgrads["strategy_weights"]
-            d_enc = denc_i if d_enc is None else d_enc + denc_i
-            dres, dg, db = layer_norm_backward(dhc, lt["ln_cross"])
-            grads[f"dec{i}.ln_cross.g"] += dg
-            grads[f"dec{i}.ln_cross.b"] += db
-            dx = dx + dres
-            agrads, dh, _ = mha_backward(lt["att"], dx)
-            for w in ("wq", "wk", "wv", "wo"):
-                grads[f"dec{i}.attn.{w}"] += agrads[w]
-            akey = self.strategy_keys[("dec", "attn")].get(i)
-            if akey is not None:
-                grads[akey] += agrads["strategy_weights"]
-            dres, dg, db = layer_norm_backward(dh, lt["ln1"])
-            grads[f"dec{i}.ln1.g"] += dg
-            grads[f"dec{i}.ln1.b"] += db
-            dx = dx + dres
-        grads["pos_emb"][: tgt.shape[1]] += dx.sum(axis=0)
-        np.add.at(grads["tok_emb"], tgt, dx)
-
-        # back through the encoder
+        grads, dxf = self._head_backward(tape["xf"], dlogits)
+        dx, d_enc = self.dec_stack.backward(self.params, tape, dxf, grads)
+        self._embed_backward(grads, tape["tokens"], dx)
         enc_tape = tape["enc"]
-        src = enc_tape["src"]
-        dx, dg, db = layer_norm_backward(d_enc, enc_tape["final_ln"])
-        grads["enc_final_ln.g"], grads["enc_final_ln.b"] = dg, db
-        for i in reversed(range(cfg.layers)):
-            lt = enc_tape["layers"][i]
-            dh2, dw1, dw2 = ffn_backward(dx, lt["ffn"], p[f"enc{i}.ffn.w1"], p[f"enc{i}.ffn.w2"])
-            grads[f"enc{i}.ffn.w1"] += dw1
-            grads[f"enc{i}.ffn.w2"] += dw2
-            dres, dg, db = layer_norm_backward(dh2, lt["ln2"])
-            grads[f"enc{i}.ln2.g"] += dg
-            grads[f"enc{i}.ln2.b"] += db
-            dx = dx + dres
-            agrads, dh, _ = mha_backward(lt["att"], dx)
-            for w in ("wq", "wk", "wv", "wo"):
-                grads[f"enc{i}.attn.{w}"] += agrads[w]
-            akey = self.strategy_keys[("enc", "attn")].get(i)
-            if akey is not None:
-                grads[akey] += agrads["strategy_weights"]
-            dres, dg, db = layer_norm_backward(dh, lt["ln1"])
-            grads[f"enc{i}.ln1.g"] += dg
-            grads[f"enc{i}.ln1.b"] += db
-            dx = dx + dres
-        grads["pos_emb"][: src.shape[1]] += dx.sum(axis=0)
-        np.add.at(grads["tok_emb"], src, dx)
+        dx, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
+        self._embed_backward(grads, enc_tape["tokens"], dx)
         return grads
 
     def init_state(self, src) -> DecoderState:
-        cfg = self.config
-        src = np.asarray(src)
-        if src.ndim == 1:
-            src = src[None, :]
         enc_out, _ = self.encode(src)
-        causal_cfg = cfg.site_config("causal")
-        cross_cfg = cfg.site_config("cross")
-        return DecoderState(
-            attn=[
-                init_attn_state(
-                    causal_cfg, self.dec_stack.layer_params(i, "attn"), src.shape[0], cfg.max_positions
-                )
-                for i in range(cfg.layers)
-            ],
-            cross=[
-                init_attn_state(
-                    cross_cfg,
-                    self.dec_stack.layer_params(i, "cross"),
-                    src.shape[0],
-                    cfg.max_positions,
-                    encoder_out=enc_out,
-                )
-                for i in range(cfg.layers)
-            ],
+        return self.dec_stack.init_state(
+            self.params, enc_out.shape[0], self.config.max_positions, enc_out
         )
 
     def step(self, tokens_t, state: DecoderState):
-        p = self.params
-        cfg = self.config
-        tokens_t = np.asarray(tokens_t).reshape(-1)
-        x = p["tok_emb"][tokens_t] + p["pos_emb"][state.pos]
-        causal_cfg = cfg.site_config("causal")
-        cross_cfg = cfg.site_config("cross")
-        for i in range(cfg.layers):
-            h, _ = layer_norm_forward(x, p[f"dec{i}.ln1.g"], p[f"dec{i}.ln1.b"])
-            x = x + stream_step(h, self.dec_stack.layer_params(i, "attn"), causal_cfg, state.attn[i])
-            hc, _ = layer_norm_forward(x, p[f"dec{i}.ln_cross.g"], p[f"dec{i}.ln_cross.b"])
-            x = x + stream_step(hc, self.dec_stack.layer_params(i, "cross"), cross_cfg, state.cross[i])
-            h2, _ = layer_norm_forward(x, p[f"dec{i}.ln2.g"], p[f"dec{i}.ln2.b"])
-            z = h2 @ p[f"dec{i}.ffn.w1"]
-            x = x + np.maximum(z, 0.0) @ p[f"dec{i}.ffn.w2"]
-        xf, _ = layer_norm_forward(x, p["final_ln.g"], p["final_ln.b"])
+        x = self._embed_step(tokens_t, state.pos)
+        xf = self.dec_stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ p["out_w"]
+        return xf @ self.params["out_w"]
 
     def greedy_decode(self, src, max_len: int):
         src = np.asarray(src)

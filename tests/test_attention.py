@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from boundedattn import attention as att
+from boundedattn import strategies as st
 from boundedattn.memory import build_memory, full_attention, readout
 from boundedattn.numerics import finite_diff_grad, make_rng, softmax
 from boundedattn.strategies import phi_mlp_sequence
@@ -101,6 +102,27 @@ def test_cross_batch_equals_cached_memory_decode(kind, extra):
     outs = [att.mha_forward(Xq[:, t], None, p, c, state=state)[0] for t in range(Nt)]
     y_stream = np.stack(outs, axis=1)
     assert np.abs(y_batch - y_stream).max() <= 1e-10
+
+
+def test_random_slots_are_drawn_once_across_decode_steps(monkeypatch):
+    # the per-position slot draws are a property of the strategy: building
+    # them again on every decode step would cost O(max_len) per token
+    built = []
+    orig = st.RandomSlotControl.__post_init__
+
+    def counting(self):
+        built.append(self)
+        orig(self)
+
+    monkeypatch.setattr(st.RandomSlotControl, "__post_init__", counting)
+    B, N, d = 2, 40, 8
+    c = cfg(site="causal", kind="random", n=3, d_model=d, seed=9001, max_len=N)
+    p = make_params(c, seed=7)
+    state = att.init_attn_state(c, p, batch=B, capacity=N)
+    X = make_rng(44).normal(size=(B, N, d))
+    for t in range(N):
+        att.stream_step(X[:, t], p, c, state)
+    assert len(built) <= 1
 
 
 # --- causality -------------------------------------------------------------------
@@ -285,6 +307,8 @@ GRAD_CASES = [
     ("encoder_self", "mlp", {"activation": "relu"}),
     ("encoder_self", "linformer", {"max_len": 12}),
     ("cross", "mlp", {}),
+    ("encoder_self", "softmax", {}),
+    ("cross", "softmax", {}),
 ]
 
 

@@ -62,47 +62,8 @@ def test_outer_matches_column_row_matmul():
     rng = numerics.make_rng(3)
     x = rng.normal(size=6)
     y = rng.normal(size=4)
-    via_matmul = numerics.matmul(x.reshape(-1, 1), y.reshape(1, -1))
+    via_matmul = x.reshape(-1, 1) @ y.reshape(1, -1)
     assert np.abs(numerics.outer(x, y) - via_matmul).max() <= 1e-12
-
-
-def test_matmul_identity():
-    rng = numerics.make_rng(1)
-    b = rng.normal(size=(4, 3))
-    np.testing.assert_array_equal(numerics.matmul(np.eye(4), b), b)
-
-
-def test_matmul_upper_shift_pops_first_row():
-    u = np.eye(3, k=1)
-    rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    np.testing.assert_array_equal(
-        numerics.matmul(u, rows), [[3.0, 4.0], [5.0, 6.0], [0.0, 0.0]]
-    )
-
-
-def test_matmul_against_triple_loop_oracle():
-    rng = numerics.make_rng(11)
-    a = rng.normal(size=(4, 5))
-    b = rng.normal(size=(5, 3))
-    expect = np.zeros((4, 3))
-    for i in range(4):
-        for j in range(3):
-            for k in range(5):
-                expect[i, j] += a[i, k] * b[k, j]
-    assert np.abs(numerics.matmul(a, b) - expect).max() <= 1e-12
-
-
-def test_matmul_associativity():
-    rng = numerics.make_rng(12)
-    a, b, c = (rng.normal(size=(8, 8)) for _ in range(3))
-    lhs = numerics.matmul(numerics.matmul(a, b), c)
-    rhs = numerics.matmul(a, numerics.matmul(b, c))
-    assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ValueError):
-        numerics.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
 
 def test_finite_diff_constant_function():

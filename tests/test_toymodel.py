@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,11 +121,11 @@ def test_lm_gradients_match_finite_differences(kind, extra):
     _model_gradcheck(model, forward_loss)
 
 
-def test_seq2seq_gradients_match_finite_differences():
+def _seq2seq_gradcheck(tie_phi_across_layers, enc_activation="relu"):
     cfg = seq2seq_config(
-        enc_kind="mlp", enc_extra={"activation": "relu"},
+        enc_kind="mlp", enc_extra={"activation": enc_activation},
         causal_kind="mlp", causal_extra={"activation": "sigmoid"},
-        cross_kind="mlp",
+        cross_kind="mlp", tie_phi_across_layers=tie_phi_across_layers,
     )
     # seeds chosen so the relu pre-activations sit away from the kink (the
     # finite-difference step would straddle it) and no normalizer column is 0
@@ -141,6 +143,20 @@ def test_seq2seq_gradients_match_finite_differences():
         return loss, model.backward(tape, dlogits)
 
     _model_gradcheck(model, forward_loss)
+    return model
+
+
+def test_seq2seq_gradients_match_finite_differences():
+    _seq2seq_gradcheck(tie_phi_across_layers=True)
+
+
+def test_seq2seq_untied_gradients_match_finite_differences():
+    # per-layer strategy weights at all three sites: enc{i}.attn.sw,
+    # dec{i}.attn.sw and dec{i}.cross.sw each get their own gradient.  The
+    # untied draws differ from the tied ones, so the relu seeds above do not
+    # carry over; exp never zeroes a sequence normalizer column.
+    model = _seq2seq_gradcheck(tie_phi_across_layers=False, enc_activation="exp")
+    assert sum(k.endswith(".sw") for k in model.params) == 6
 
 
 def test_tied_strategy_weights_are_shared_and_accumulated():
@@ -262,8 +278,7 @@ def test_overlong_and_invalid_tokens_rejected():
         model.forward(np.full((1, 4), 99))
 
 
-def test_seq2seq_streaming_decode_matches_batch():
-    cfg = seq2seq_config()
+def _check_seq2seq_streaming_decode(cfg):
     model = tm.ToySeq2Seq(cfg, rng=make_rng(4))
     src = make_rng(15).integers(0, 11, size=(2, 6))
     got = model.greedy_decode(src, 5)
@@ -274,6 +289,28 @@ def test_seq2seq_streaming_decode_matches_batch():
         nxt = logits[:, -1].argmax(axis=-1)
         tgt = np.concatenate([tgt, nxt[:, None]], axis=1)
     np.testing.assert_array_equal(got, tgt[:, 1:])
+
+
+def test_seq2seq_streaming_decode_matches_batch():
+    _check_seq2seq_streaming_decode(seq2seq_config())
+
+
+def test_seq2seq_streaming_decode_matches_batch_mixed_sites():
+    _check_seq2seq_streaming_decode(
+        seq2seq_config(enc_kind="softmax", causal_kind="window", cross_kind="cluster")
+    )
+
+
+def test_dropped_models_are_freed_without_the_cycle_collector():
+    lm = tm.ToyLM(lm_config(kind="mlp", n=3))
+    s2s = tm.ToySeq2Seq(seq2seq_config())
+    refs = [weakref.ref(lm), weakref.ref(s2s)]
+    gc.disable()
+    try:
+        del lm, s2s
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_seq2seq_short_training_reduces_loss():
