@@ -23,11 +23,11 @@ from .memory import (
     step,
     zero_memory,
 )
-from .numerics import NumericError, finite_diff_grad, make_rng, outer, softmax
+from .numerics import NumericError, finite_diff_grad, make_rng, softmax
 from .strategies import (
     ClusterControl,
     CompressiveControl,
-    ControlStrategy,
+    Control,
     DilatedControl,
     LinformerControl,
     LocalToGlobalControl,
@@ -35,6 +35,7 @@ from .strategies import (
     RandomSlotControl,
     WindowControl,
     cluster_assign,
+    cluster_phi,
     centroids_via_phi,
     dilated_step,
     phi_at,

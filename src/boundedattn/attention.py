@@ -12,7 +12,11 @@ Drop-in replacement for softmax multihead attention at three sites:
 
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
-across heads; each head keeps its own (n x d_head) slot matrices.
+across heads; each head keeps its own (n x d_head) slot matrices.  The
+strategy object behind a config (:func:`control_for`, ``config.control``)
+decides where it may run, whether its slots accumulate or form a queue, the
+shape of its learned weights and its control rows; this module only picks
+the kernel family.
 
 Backward passes are a manual per-operation chain (projections, control
 weights, memory build, readout softmax), not a graph engine; every gradient
@@ -33,23 +37,26 @@ from .numerics import (
     NumericError,
     as_matrix,
     check_finite,
-    make_rng,
     softmax_rows,
     softmax_rows_backward,
 )
 
 SITES = ("encoder_self", "causal", "cross")
-STRATEGY_KINDS = (
-    "softmax",  # exact baseline with a growing key/value cache
-    "mlp",
-    "linformer",
-    "local_to_global",
-    "random",
-    "compressive",
-    "cluster",
-    "window",
-    "dilated",
-)
+
+# kind -> strategy object for n slots; softmax is the exact baseline with a
+# growing key/value cache and has no control
+_CONTROLS = {
+    "softmax": lambda n, spec: None,
+    "mlp": lambda n, spec: st.MlpControl(n, spec.activation),
+    "linformer": lambda n, spec: st.LinformerControl(n, spec.max_len),
+    "local_to_global": lambda n, spec: st.LocalToGlobalControl(n, spec.global_positions),
+    "random": lambda n, spec: st.RandomSlotControl(n, spec.seed, spec.max_len),
+    "compressive": lambda n, spec: st.CompressiveControl(n, spec.ratio),
+    "cluster": lambda n, spec: st.ClusterControl(n, spec.cluster_iters, spec.seed),
+    "window": lambda n, spec: st.WindowControl(n),
+    "dilated": lambda n, spec: st.DilatedControl(n),
+}
+STRATEGY_KINDS = tuple(_CONTROLS)
 
 
 @dataclass(frozen=True)
@@ -69,8 +76,15 @@ class StrategySpec:
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
 
-    def needs_weights(self) -> bool:
-        return self.kind in ("mlp", "linformer")
+
+@functools.lru_cache(maxsize=64)
+def control_for(n: int, spec: StrategySpec) -> st.Control | None:
+    """The strategy object of ``spec`` with n slots (None for softmax).
+
+    Built once per (n, spec): a random-slot control draws its ``max_len``
+    slots on construction, which a decode step must not repeat per token.
+    """
+    return _CONTROLS[spec.kind](n, spec)
 
 
 @dataclass(frozen=True)
@@ -91,21 +105,19 @@ class AttentionConfig:
             raise ValueError("heads * d_head must equal d_model")
         if self.n < 1:
             raise ValueError("memory needs at least one slot")
-        k = self.strategy.kind
-        if self.site == "causal":
-            if k == "cluster":
-                raise ValueError(
-                    "cluster control needs the full sequence; illegal for causal attention"
-                )
-            if k == "mlp" and self.strategy.normalization == "sequence":
-                raise ValueError(
-                    "sequence normalization reads future tokens; use prefix for causal attention"
-                )
-        else:
-            if k in ("window", "dilated"):
-                raise ValueError(f"{k} control is a per-step queue; causal attention only")
-            if k == "mlp" and self.strategy.normalization == "prefix":
-                raise ValueError("prefix normalization is the causal mode; use sequence here")
+        control = self.control
+        if control is None:
+            return
+        causal = self.site == "causal"
+        if not (control.causal if causal else control.sequence):
+            raise ValueError(f"{self.strategy.kind} control is illegal at the {self.site} site")
+        wrong = "sequence" if causal else "prefix"
+        if isinstance(control, st.MlpControl) and self.strategy.normalization == wrong:
+            raise ValueError(f"{wrong} normalization does not fit the {self.site} site")
+
+    @property
+    def control(self) -> st.Control | None:
+        return control_for(self.n, self.strategy)
 
     @property
     def tau(self) -> float:
@@ -153,12 +165,11 @@ def init_layer_params(config: AttentionConfig, rng: np.random.Generator) -> Laye
 def init_strategy_weights(
     config: AttentionConfig, rng: np.random.Generator
 ) -> np.ndarray | None:
-    spec = config.strategy
-    if spec.kind == "mlp":
-        return rng.normal(0.0, 1.0 / math.sqrt(config.d_model), (config.n, config.d_model))
-    if spec.kind == "linformer":
-        return rng.normal(0.0, 1.0 / math.sqrt(spec.max_len), (config.n, spec.max_len))
-    return None
+    control = config.control
+    shape = None if control is None else control.weight_shape(config.d_model)
+    if shape is None:
+        return None
+    return rng.normal(0.0, 1.0 / math.sqrt(shape[1]), shape)
 
 
 # --- head plumbing ------------------------------------------------------------
@@ -195,51 +206,20 @@ def fold_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # --- control weights ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=64)
-def _constant_strategy(n: int, spec: StrategySpec):
-    """Strategy object behind a constant control, built once per (n, spec).
-
-    Building a random-slot strategy draws its ``max_len`` slots, which a
-    decode step must not repeat for every token.
-    """
-    if spec.kind == "local_to_global":
-        pos = spec.global_positions or tuple(range(n))
-        return st.LocalToGlobalControl(n=n, global_positions=pos)
-    if spec.kind == "random":
-        return st.RandomSlotControl(n=n, seed=spec.seed, max_len=spec.max_len)
-    if spec.kind == "compressive":
-        return st.CompressiveControl(n=n, ratio=spec.ratio)
-    raise ValueError(f"{spec.kind} has no input-independent control")
+def _mlp_alpha(control: st.MlpControl, X: np.ndarray, weights: np.ndarray):
+    """Pre-activations and raw slot weights of the learned control (clamped)."""
+    Z = X @ weights.T
+    return Z, st.activation_forward(control.activation, Z, clamp=st.EXP_CLAMP)
 
 
-def _constant_phi(config: AttentionConfig, params: LayerParams, length: int) -> np.ndarray:
-    """(N, n) control matrix for the strategies that never look at x."""
-    spec = config.strategy
-    if spec.kind == "linformer":
-        if length > spec.max_len:
-            raise ValueError(f"sequence length {length} exceeds the fixed {spec.max_len}")
-        return params.strategy_weights[:, :length].T.copy()
-    return st.phi_matrix(_constant_strategy(config.n, spec), length)
-
-
-def _constant_phi_row(config: AttentionConfig, params: LayerParams, t: int) -> np.ndarray:
-    spec = config.strategy
-    if spec.kind == "linformer":
-        if t >= spec.max_len:
-            raise ValueError(f"position {t} exceeds the fixed input length {spec.max_len}")
-        return params.strategy_weights[:, t].copy()
-    return st.phi_at(_constant_strategy(config.n, spec), t, t + 1)
-
-
-def _queue_gather_indices(config: AttentionConfig, length: int):
+def _queue_gather_indices(control: st.Control, length: int):
     """Per-step slot -> source position map for the queue strategies.
 
     After the step-t write, queue slot l holds the key written at position
     t - stride*(n-1-l); slots whose source would be negative still hold the
     zero pair the queue started with.
     """
-    n = config.n
-    stride = 1 if config.strategy.kind == "window" else 2
+    n, stride = control.n, control.stride
     t = np.arange(length)[:, None]
     sl = np.arange(n)[None, :]
     idx = t - stride * (n - 1 - sl)
@@ -415,38 +395,24 @@ def _softmax_backward(dout, Q, K, V, cache, tau):
     return dQ, dK, dV
 
 
-def _cluster_phi(config: AttentionConfig, K: np.ndarray) -> np.ndarray:
-    # per-head hard k-means over this forward's keys; membership is treated
-    # as a constant of the pass (re-assigned on the next forward)
-    B, H, N, _ = K.shape
-    spec = config.strategy
-    phi = np.zeros((B, H, N, config.n))
-    for b in range(B):
-        for h in range(H):
-            m = st.cluster_assign(K[b, h], config.n, spec.cluster_iters, make_rng(spec.seed))
-            phi[b, h] = m / m.sum(axis=0)
-    return phi
-
-
 def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: dict):
     """Control over a whole key/value sequence (the encoder_self and cross sites).
 
     (B, Nk, n), or (B, H, Nk, n) for cluster control; the mlp strategy's
     pre-activations and normalizer go into ``tape`` for its backward.
     """
-    spec = config.strategy
-    B, Nk, _ = Xkv.shape
-    if spec.kind == "mlp":
-        Z = Xkv @ params.strategy_weights.T
-        alpha = st.activation_forward(spec.activation, Z, clamp=st.EXP_CLAMP)
+    control = config.control
+    if isinstance(control, st.MlpControl):
+        Z, alpha = _mlp_alpha(control, Xkv, params.strategy_weights)
         total = alpha.sum(axis=1)  # (B, n)
         if np.any(total <= 0.0):
             raise NumericError("sequence normalizer has a zero entry")
         tape.update(Z=Z, alpha=alpha, total=total)
         return alpha / total[:, None, :]
-    if spec.kind == "cluster":
-        return _cluster_phi(config, K)
-    return np.broadcast_to(_constant_phi(config, params, Nk), (B, Nk, config.n))
+    if isinstance(control, st.ClusterControl):
+        return control.phi_from_keys(K)
+    B, Nk, _ = Xkv.shape
+    return np.broadcast_to(st.phi_matrix(control, Nk, params.strategy_weights), (B, Nk, config.n))
 
 
 # --- public batch forward/backward ----------------------------------------------
@@ -486,7 +452,7 @@ def mha_forward(
     K = _split_heads(Xkv @ params.wk, H)
     V = _split_heads(Xkv @ params.wv, H)
 
-    spec = config.strategy
+    control = config.control
     tape = GradTape(config=config)
     ar = tape.arrays
     ar.update(
@@ -495,33 +461,31 @@ def mha_forward(
         sw=params.strategy_weights,
     )
 
-    if spec.kind == "softmax":
+    if control is None:
         out, cache = _softmax_forward(Q, K, V, tau, config.site == "causal")
         ar["family"] = "softmax"
-    elif config.site == "causal":
-        if spec.kind in ("window", "dilated"):
-            idx, valid = _queue_gather_indices(config, N)
-            out, cache = _queue_causal_forward(Q, K, V, idx, valid, tau)
-            ar["family"] = "queue"
-        else:
-            if spec.kind == "mlp":
-                Z = Xq @ params.strategy_weights.T
-                A = st.activation_forward(spec.activation, Z, clamp=st.EXP_CLAMP)
-                ar.update(Z=Z, alpha=A)
-                normalize = True
-                slot_mask = None
-            else:
-                phi = _constant_phi(config, params, N)
-                A = np.broadcast_to(phi, (B, N, config.n))
-                normalize = False
-                slot_mask = written_slot_mask(phi)
-            out, cache = _additive_causal_forward(Q, K, V, A, normalize, tau, slot_mask)
-            ar["family"] = "additive"
-            ar["normalize"] = normalize
-    else:
+    elif config.site != "causal":
         phi = _sequence_phi(config, params, Xkv, K, ar)
         out, cache = _oneshot_forward(Q, K, V, phi, tau)
         ar["family"] = "oneshot"
+    elif control.stride:
+        idx, valid = _queue_gather_indices(control, N)
+        out, cache = _queue_causal_forward(Q, K, V, idx, valid, tau)
+        ar["family"] = "queue"
+    else:
+        if isinstance(control, st.MlpControl):
+            ar["Z"], A = _mlp_alpha(control, Xq, params.strategy_weights)
+            ar["alpha"] = A
+            normalize = True
+            slot_mask = None
+        else:
+            phi = st.phi_matrix(control, N, params.strategy_weights)
+            A = np.broadcast_to(phi, (B, N, config.n))
+            normalize = False
+            slot_mask = written_slot_mask(phi)
+        out, cache = _additive_causal_forward(Q, K, V, A, normalize, tau, slot_mask)
+        ar["family"] = "additive"
+        ar["normalize"] = normalize
 
     ar["cache"] = cache
     O = _merge_heads(out)
@@ -535,9 +499,8 @@ def mha_backward(tape: GradTape, d_out):
     """Gradients of one recorded forward.
 
     Returns (grads, dXq, dXkv): grads has keys wq/wk/wv/wo plus
-    strategy_weights for the learned strategies (zeros when the strategy has
-    weights the output provably does not depend on).  dXkv is None at the
-    self sites (already folded into dXq).
+    strategy_weights for the learned strategies.  dXkv is None at the self
+    sites (already folded into dXq).
     """
     config = tape.config
     ar = tape.take()
@@ -546,7 +509,6 @@ def mha_backward(tape: GradTape, d_out):
         d_out = d_out[None, :, :]
     Xq, Xkv, Q, K, V, O = ar["Xq"], ar["Xkv"], ar["Q"], ar["K"], ar["V"], ar["O"]
     H, tau = config.heads, config.tau
-    spec = config.strategy
     cache = ar["cache"]
 
     dwo = fold_outer(O, d_out)
@@ -562,14 +524,12 @@ def mha_backward(tape: GradTape, d_out):
     elif family == "additive":
         dQ, dK, dV, dA = _additive_causal_backward(dout_h, Q, K, V, cache, ar["normalize"], tau)
     else:
-        dQ, dK, dV, dphi = _oneshot_backward(dout_h, Q, K, V, cache, tau)
-        if spec.kind == "mlp":
-            total = ar["total"]
+        dQ, dK, dV, dA = _oneshot_backward(dout_h, Q, K, V, cache, tau)
+        if "total" in ar:  # learned control, phi = alpha / total over the sequence
+            dphi, total = dA, ar["total"]
             dA = dphi / total[:, None, :]
             dtotal = -np.sum(dphi * cache["phi"], axis=1) / total
             dA += dtotal[:, None, :]
-        elif spec.kind == "linformer":
-            dA = dphi
 
     dQf = _merge_heads(dQ)
     dKf = _merge_heads(dK)
@@ -583,9 +543,9 @@ def mha_backward(tape: GradTape, d_out):
     dXq = dQf @ ar["wq"].T
     dXkv = dKf @ ar["wk"].T + dVf @ ar["wv"].T
 
-    if spec.kind == "mlp" and dA is not None:
+    if "Z" in ar:  # learned control, alpha = act(x W_phi^T)
         Z, alpha = ar["Z"], ar["alpha"]
-        dZ = dA * st.activation_grad(spec.activation, Z, alpha, clamp=st.EXP_CLAMP)
+        dZ = dA * st.activation_grad(config.control.activation, Z, alpha, clamp=st.EXP_CLAMP)
         x_phi = Xq if config.site == "causal" else Xkv
         grads["strategy_weights"] = fold_outer(dZ, x_phi)
         dx_phi = dZ @ ar["sw"]
@@ -593,12 +553,10 @@ def mha_backward(tape: GradTape, d_out):
             dXq = dXq + dx_phi
         else:
             dXkv = dXkv + dx_phi
-    elif spec.kind == "linformer" and dA is not None:
+    elif dA is not None and ar["sw"] is not None:  # linformer: phi rows are weight columns
         gw = np.zeros_like(ar["sw"])
         gw[:, : dA.shape[1]] = dA.sum(axis=0).T
         grads["strategy_weights"] = gw
-    elif spec.needs_weights():
-        grads["strategy_weights"] = np.zeros_like(ar["sw"])
 
     if config.site == "cross":
         return grads, dXq, dXkv
@@ -627,30 +585,30 @@ def pseudo_query_memory(w_phi: np.ndarray, X: np.ndarray, K: np.ndarray) -> np.n
 
 @dataclass
 class AttnState:
-    """Per-layer recurrent state of one attention instance during decode."""
+    """Per-layer recurrent state of one attention instance during decode.
+
+    ``size_bytes`` counts every ndarray field (the softmax cache up to the
+    filled length).
+    """
 
     config: AttentionConfig
     t: int = 0
-    # bounded-memory strategies: slot matrices (B, H, n, d_head) + normalizer
+    # bounded-memory strategies: slot matrices (B, H, n, d_head); queue
+    # strategies keep one queue per stride residue, (B, H, stride, n, d_head)
     ktilde: np.ndarray | None = None
     vtilde: np.ndarray | None = None
-    norm: np.ndarray | None = None  # (B, H, n)
-    # dilated second queue
-    ktilde2: np.ndarray | None = None
-    vtilde2: np.ndarray | None = None
+    # accumulating causal strategies: running per-slot sum of |phi| (B, H, n);
+    # the learned control divides by it, constant controls read only the
+    # slots where it is nonzero (the written ones)
+    norm: np.ndarray | None = None
     # softmax baseline: growing key/value cache, preallocated to capacity
     kcache: np.ndarray | None = None
     vcache: np.ndarray | None = None
     # cross attention: memory is static after init
     static: bool = False
-    # causal constant-control strategies: per-step written-slot masks
-    slot_mask: np.ndarray | None = None
 
     def state_arrays(self) -> list[np.ndarray]:
-        out = []
-        for a in (self.ktilde, self.vtilde, self.norm, self.ktilde2, self.vtilde2):
-            if a is not None:
-                out.append(a)
+        out = [a for a in (self.ktilde, self.vtilde, self.norm) if a is not None]
         if self.kcache is not None:
             # the filled region is what a growing cache would occupy
             out.append(self.kcache[:, :, : self.t])
@@ -675,14 +633,14 @@ def init_attn_state(
 ) -> AttnState:
     """Fresh decode state; for cross sites this builds and caches the memory."""
     H, dh, n = config.heads, config.d_head, config.n
-    spec = config.strategy
+    control = config.control
     if config.site == "cross":
         if encoder_out is None:
             raise ValueError("cross attention state needs the encoder output")
         enc, _ = _batched(encoder_out)
         K = _split_heads(enc @ params.wk, H)
         V = _split_heads(enc @ params.wv, H)
-        if spec.kind == "softmax":
+        if control is None:
             return AttnState(config=config, kcache=K, vcache=V, t=K.shape[2], static=True)
         phi = _sequence_phi(config, params, enc, K, {})
         eq = "bhtn,bhtd->bhnd" if phi.ndim == 4 else "btn,bhtd->bhnd"
@@ -695,24 +653,21 @@ def init_attn_state(
 
     if config.site != "causal":
         raise ValueError("only causal and cross sites have decode state")
-    if spec.kind == "softmax":
+    if control is None:
         return AttnState(
             config=config,
             kcache=np.zeros((batch, H, capacity, dh)),
             vcache=np.zeros((batch, H, capacity, dh)),
         )
-    state = AttnState(
+    if control.stride:
+        shape = (batch, H, control.stride, n, dh)
+        return AttnState(config=config, ktilde=np.zeros(shape), vtilde=np.zeros(shape))
+    return AttnState(
         config=config,
         ktilde=np.zeros((batch, H, n, dh)),
         vtilde=np.zeros((batch, H, n, dh)),
         norm=np.zeros((batch, H, n)),
     )
-    if spec.kind == "dilated":
-        state.ktilde2 = np.zeros((batch, H, n, dh))
-        state.vtilde2 = np.zeros((batch, H, n, dh))
-    elif spec.kind not in ("mlp", "window"):
-        state.slot_mask = written_slot_mask(_constant_phi(config, params, capacity))
-    return state
 
 
 def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnState) -> np.ndarray:
@@ -726,7 +681,7 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
         raise ValueError(f"stream_step takes (B, d_model), got {x.shape}")
     B = x.shape[0]
     H, dh, n, tau = config.heads, config.d_head, config.n, config.tau
-    spec = config.strategy
+    control = config.control
     t = state.t
 
     q = (x @ params.wq).reshape(B, H, dh)
@@ -734,7 +689,7 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
         k = (x @ params.wk).reshape(B, H, dh)
         v = (x @ params.wv).reshape(B, H, dh)
 
-    if spec.kind == "softmax":
+    if control is None:
         if state.static:
             kc, vc = state.kcache, state.vcache
         else:
@@ -751,43 +706,35 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
         out = np.matmul(a[:, :, None, :], vc)[:, :, 0, :]
         return out.reshape(B, H * dh) @ params.wo
 
-    if not state.static:
-        if spec.kind in ("window", "dilated"):
-            if spec.kind == "dilated" and t % 2 == 1:
-                kt, vt = state.ktilde2, state.vtilde2
-            else:
-                kt, vt = state.ktilde, state.vtilde
-            kt[:, :, :-1] = kt[:, :, 1:]
-            vt[:, :, :-1] = vt[:, :, 1:]
-            kt[:, :, -1] = k
-            vt[:, :, -1] = v
-        else:
-            if spec.kind == "mlp":
-                alpha = st.activation_forward(
-                    spec.activation, x @ params.strategy_weights.T, clamp=st.EXP_CLAMP
-                )
-            else:
-                alpha = np.broadcast_to(_constant_phi_row(config, params, t), (B, n))
-            state.ktilde += np.einsum("bn,bhd->bhnd", alpha, k, optimize=True)
-            state.vtilde += np.einsum("bn,bhd->bhnd", alpha, v, optimize=True)
-            state.norm += alpha[:, None, :]
+    learned = isinstance(control, st.MlpControl)
+    kt, vt = state.ktilde, state.vtilde
+    if not state.static and control.stride:
+        # the queue of t's residue shifts up and takes the token in its last slot
+        kt, vt = kt[:, :, t % control.stride], vt[:, :, t % control.stride]
+        kt[:, :, :-1] = kt[:, :, 1:]
+        vt[:, :, :-1] = vt[:, :, 1:]
+        kt[:, :, -1] = k
+        vt[:, :, -1] = v
         state.t = t + 1
-
-    if spec.kind == "dilated" and not state.static:
-        kt = state.ktilde2 if t % 2 == 1 else state.ktilde
-        vt = state.vtilde2 if t % 2 == 1 else state.vtilde
-    else:
-        kt, vt = state.ktilde, state.vtilde
-    if spec.kind == "mlp" and not state.static:
-        if np.any(state.norm <= 0.0):
-            raise NumericError("prefix normalizer hit zero")
-        kt = kt / state.norm[..., None]
-        vt = vt / state.norm[..., None]
+    elif not state.static:
+        if learned:
+            _, alpha = _mlp_alpha(control, x, params.strategy_weights)
+        else:
+            alpha = np.broadcast_to(st.phi_at(control, t, params.strategy_weights), (B, n))
+        kt += np.einsum("bn,bhd->bhnd", alpha, k, optimize=True)
+        vt += np.einsum("bn,bhd->bhnd", alpha, v, optimize=True)
+        state.norm += np.abs(alpha)[:, None, :]
+        state.t = t + 1
+        if learned:
+            if np.any(state.norm <= 0.0):
+                raise NumericError("prefix normalizer hit zero")
+            kt = kt / state.norm[..., None]
+            vt = vt / state.norm[..., None]
     s = np.einsum("bhnd,bhd->bhn", kt, q, optimize=True) / tau
-    if state.slot_mask is not None:
-        m = state.slot_mask[t]
-        if m.any():
-            s = np.where(m[None, None, :], s, -np.inf)
+    if state.norm is not None and not learned:
+        # constant controls read only written slots, once any slot is written
+        written = state.norm > 0.0
+        s = np.where(written | ~written.any(axis=-1, keepdims=True), s, -np.inf)
     a = softmax_rows(s)
     out = np.einsum("bhn,bhnd->bhd", a, vt, optimize=True)
     return out.reshape(B, H * dh) @ params.wo

@@ -166,13 +166,14 @@ def run_decode_bench(spec: BenchSpec, progress=None) -> list[BenchRecord]:
 def decoder_state_bytes(config: ToyModelConfig, length: int) -> int:
     """Analytic per-sequence decode state size after ``length`` tokens."""
     dh = config.d_model // config.heads
-    if config.causal.strategy.kind == "softmax":
-        floats = config.layers * config.heads * 2 * length * dh
+    kind, n = config.causal.strategy.kind, config.causal.n
+    if kind == "softmax":
+        per_head = 2 * length * dh  # the filled key/value cache
+    elif kind in ("window", "dilated"):
+        per_head = 2 * n * dh * (2 if kind == "dilated" else 1)  # dilated: one queue per parity
     else:
-        n = config.causal.n
-        per_queue = config.layers * config.heads * (2 * n * dh + n)
-        floats = per_queue * (2 if config.causal.strategy.kind == "dilated" else 1)
-    return floats * 8
+        per_head = 2 * n * dh + n  # slot matrices plus the per-slot normalizer
+    return config.layers * config.heads * per_head * 8
 
 
 def run_memory_audit(model: ToyLM, length: int) -> int:

@@ -81,15 +81,6 @@ def softmax_rows_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     return a * (da - inner)
 
 
-def outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Outer product: result[i, j] = x[i] * y[j]."""
-    x = as_vector(x)
-    y = as_vector(y)
-    if x.shape[0] == 0 or y.shape[0] == 0:
-        raise ValueError("outer product of an empty vector")
-    return check_finite(np.outer(x, y), "outer product")
-
-
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-6
 ) -> np.ndarray:

@@ -1,29 +1,37 @@
 """Control-vector strategies: who decides which slot a token is written to.
 
-Eight ways to produce the per-token control vector phi_t over n slots:
+Each strategy is one frozen object holding its configuration only: the slot
+count ``n`` plus its own hyperparameters.  Learned weights, inputs and keys
+are arguments, so one object serves every layer and every call.
 
-* ``LinformerControl``   -- learned per-position columns of an n-by-N_max matrix
-* ``LocalToGlobalControl`` -- e_i if the token is the i-th designated global
-  token, the zero vector otherwise
-* ``RandomSlotControl``  -- a uniformly random slot per position, drawn once
-  from a seeded stream and then frozen
-* ``CompressiveControl`` -- chunk mean-pooling: e_{t // c} / c
-* ``ClusterControl``     -- soft spreading over cluster centroids from a hard
-  membership matrix
-* ``WindowControl``      -- e_{n-1} combined with the upper-shift transition:
-  a FIFO queue over the most recent n tokens
-* ``DilatedControl``     -- two interleaved FIFO queues covering every other
+* ``LinformerControl(n, max_len)`` -- column t of a learned n-by-max_len
+  matrix
+* ``LocalToGlobalControl(n, global_positions)`` -- e_i if the token is the
+  i-th designated global token (default: the first n), the zero vector
+  otherwise; with n = N it is the identity control
+* ``RandomSlotControl(n, seed, max_len)`` -- a uniformly random slot per
+  position, drawn once from a seeded stream and then frozen
+* ``CompressiveControl(n, ratio)`` -- chunk mean-pooling: e_{t // c} / c
+* ``ClusterControl(n, iters, seed)`` -- per-head k-means over the keys; a
+  token spreads 1/|cluster| onto its cluster's slot
+* ``WindowControl(n)``  -- e_{n-1} written after an upper shift: a FIFO queue
+  over the most recent n tokens
+* ``DilatedControl(n)`` -- two interleaved FIFO queues covering every other
   token within a 2n window
-* ``MlpControl``         -- learned: alpha_t = act(W_phi x_t), normalized over
-  the sequence (encoder/cross) or over the prefix (causal)
+* ``MlpControl(n, activation)`` -- learned: alpha_t = act(W_phi x_t),
+  normalized over the sequence (encoder/cross) or over the prefix (causal)
 
-Positions are 0-based throughout.
+Every object says where it may run (``causal``: the decoder's causal site;
+``sequence``: the encoder-self and cross sites, which see a whole
+sequence), how its slots move (``stride``: 0 accumulates, s > 0 is a queue
+that holds every s-th token), the shape of its learned weights and its
+control rows.  Positions are 0-based throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,160 +41,190 @@ from .numerics import NumericError, as_matrix, as_vector, check_finite, make_rng
 EXP_CLAMP = 30.0  # training-path guard for exp(); equivalence paths never clamp
 
 
-# --- strategy descriptors ---------------------------------------------------
+# --- strategies ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class LinformerControl:
-    """phi_t = column t of a learned n-by-N_max projection.
+class Control:
+    """n slots; subclasses add their hyperparameters and their control rows."""
 
-    Assumes fixed-length inputs: sequences longer than N_max are rejected,
+    n: int
+    causal: ClassVar[bool] = True  # legal at the causal site
+    sequence: ClassVar[bool] = True  # legal at the encoder-self and cross sites
+    stride: ClassVar[int] = 0  # 0: slots accumulate; s > 0: FIFO queue(s) of every s-th token
+
+    def weight_shape(self, d_model: int) -> tuple[int, int] | None:
+        """Shape of the learned weights, or None for a fixed control."""
+        return None
+
+    def phi_rows(self, t0: int, t1: int, weights: np.ndarray | None = None) -> np.ndarray:
+        """(t1 - t0, n) control vectors of positions t0..t1-1."""
+        raise NotImplementedError
+
+    def _overflow(self, t0: int, t1: int, limit: int, what: str) -> None:
+        """Positions from ``limit`` on have no control row; name the first asked for."""
+        if t1 > limit:
+            raise ValueError(f"position {max(t0, limit)} exceeds {what}")
+
+
+@dataclass(frozen=True)
+class LinformerControl(Control):
+    """phi_t = column t of a learned n-by-max_len projection.
+
+    Assumes fixed-length inputs: sequences longer than max_len are rejected,
     shorter ones use a prefix of the columns.
     """
 
-    weights: np.ndarray  # (n, n_max)
+    max_len: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", as_matrix(self.weights))
+    def weight_shape(self, d_model):
+        return (self.n, self.max_len)
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def max_len(self) -> int:
-        return self.weights.shape[1]
+    def phi_rows(self, t0, t1, weights=None):
+        self._overflow(t0, t1, self.max_len, f"the fixed input length {self.max_len}")
+        if weights is None:
+            raise ValueError("linformer control needs its learned (n, max_len) weights")
+        return weights[:, t0:t1].T.copy()
 
 
 @dataclass(frozen=True)
-class LocalToGlobalControl:
-    n: int
-    global_positions: tuple[int, ...]  # 0-based, one slot per listed position
+class LocalToGlobalControl(Control):
+    global_positions: tuple[int, ...] = ()  # one slot per listed position; () = range(n)
 
     def __post_init__(self):
-        object.__setattr__(self, "global_positions", tuple(int(p) for p in self.global_positions))
-        if len(self.global_positions) > self.n:
+        pos = tuple(int(p) for p in self.global_positions) or tuple(range(self.n))
+        object.__setattr__(self, "global_positions", pos)
+        if len(pos) > self.n:
             raise ValueError("more global tokens than slots")
-        if len(set(self.global_positions)) != len(self.global_positions):
+        if len(set(pos)) != len(pos):
             raise ValueError("duplicate global positions")
 
+    def phi_rows(self, t0, t1, weights=None):
+        pos = np.asarray(self.global_positions, dtype=np.intp)
+        slots = np.flatnonzero((pos >= t0) & (pos < t1))
+        rows = np.zeros((t1 - t0, self.n))
+        rows[pos[slots] - t0, slots] = 1.0
+        return rows
+
 
 @dataclass(frozen=True)
-class RandomSlotControl:
-    """One uniformly random slot per position, materialized from the seed."""
+class RandomSlotControl(Control):
+    """One uniformly random slot per position, drawn once from the seed."""
 
-    n: int
     seed: int
     max_len: int
 
     def __post_init__(self):
         slots = make_rng(self.seed).integers(0, self.n, size=self.max_len)
+        slots.flags.writeable = False
         object.__setattr__(self, "slots", slots)
+
+    def phi_rows(self, t0, t1, weights=None):
+        self._overflow(t0, t1, self.max_len, f"the {self.max_len} materialized draws")
+        rows = np.zeros((t1 - t0, self.n))
+        rows[np.arange(t1 - t0), self.slots[t0:t1]] = 1.0
+        return rows
 
 
 @dataclass(frozen=True)
-class CompressiveControl:
+class CompressiveControl(Control):
     """Mean-pool chunks of ``ratio`` consecutive tokens into successive slots."""
 
-    n: int
     ratio: int  # compression ratio c; slot t // c gets weight 1/c
 
     def __post_init__(self):
         if self.ratio < 1:
             raise ValueError("compression ratio must be >= 1")
 
-
-@dataclass(frozen=True)
-class ClusterControl:
-    """Hard membership matrix (N, n): token t spreads 1/|cluster| onto its slot."""
-
-    membership: np.ndarray
-
-    def __post_init__(self):
-        m = np.ascontiguousarray(self.membership, dtype=np.float64)
-        if m.ndim != 2:
-            raise ValueError("membership must be an (N, n) matrix")
-        if not np.all((m == 0.0) | (m == 1.0)) or not np.all(m.sum(axis=1) == 1.0):
-            raise ValueError("membership rows must be one-hot")
-        object.__setattr__(self, "membership", m)
-
-    @property
-    def n(self) -> int:
-        return self.membership.shape[1]
-
-    @property
-    def length(self) -> int:
-        return self.membership.shape[0]
+    def phi_rows(self, t0, t1, weights=None):
+        limit = self.n * self.ratio
+        self._overflow(t0, t1, limit, f"the {self.n} slots of {self.ratio} tokens each")
+        rows = np.zeros((t1 - t0, self.n))
+        rows[np.arange(t1 - t0), np.arange(t0, t1) // self.ratio] = 1.0 / self.ratio
+        return rows
 
 
 @dataclass(frozen=True)
-class WindowControl:
-    n: int
+class ClusterControl(Control):
+    """Per-head hard k-means over one forward's keys (see :func:`cluster_phi`)."""
+
+    iters: int = 10
+    seed: int = 0
+    causal: ClassVar[bool] = False  # clustering reads the whole sequence
+
+    def phi_rows(self, t0, t1, weights=None):
+        raise ValueError("cluster control is computed from the keys; use phi_from_keys")
+
+    def phi_from_keys(self, K: np.ndarray) -> np.ndarray:
+        """(B, H, N, n) control for (B, H, N, d_head) keys, one clustering per head.
+
+        The membership is a constant of the pass: backward holds it fixed and
+        the next forward clusters again.
+        """
+        B, H, N, _ = K.shape
+        phi = np.zeros((B, H, N, self.n))
+        for b, h in np.ndindex(B, H):
+            m = cluster_assign(K[b, h], self.n, self.iters, make_rng(self.seed))
+            phi[b, h] = cluster_phi(m)
+        return phi
 
 
 @dataclass(frozen=True)
-class DilatedControl:
-    n: int
+class WindowControl(Control):
+    sequence: ClassVar[bool] = False  # a per-step queue
+    stride: ClassVar[int] = 1
+
+    def phi_rows(self, t0, t1, weights=None):
+        rows = np.zeros((t1 - t0, self.n))
+        rows[:, -1] = 1.0  # write the last slot after the upper shift
+        return rows
 
 
 @dataclass(frozen=True)
-class MlpControl:
-    """Learned control: alpha_t = activation(weights @ x_t).
+class DilatedControl(WindowControl):
+    stride: ClassVar[int] = 2  # one queue per parity
 
-    ``normalization`` picks how the raw alphas become control weights:
-    "sequence" divides by the sum over the whole sequence (encoder self /
-    cross attention), "prefix" defers to the running-normalizer memory path
-    (causal attention; never looks at future tokens).
+
+@dataclass(frozen=True)
+class MlpControl(Control):
+    """Learned control: alpha_t = activation(W_phi @ x_t), W_phi of shape (n, d_model).
+
+    The site picks how the raw alphas become control weights: encoder-self
+    and cross divide by the sum over the whole sequence, causal by the
+    running per-slot sum (the prefix), so it never looks at future tokens.
     """
 
-    weights: np.ndarray  # (n, d_model)
-    normalization: str = "sequence"  # "sequence" | "prefix"
     activation: str = "exp"  # "exp" | "relu" | "sigmoid"
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", as_matrix(self.weights))
-        if self.normalization not in ("sequence", "prefix"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.activation not in ("exp", "relu", "sigmoid"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    def weight_shape(self, d_model):
+        return (self.n, d_model)
+
+    def phi_rows(self, t0, t1, weights=None):
+        raise ValueError(
+            "MLP control needs the token representation x; use phi_mlp_sequence or phi_mlp_prefix"
+        )
 
 
-ControlStrategy = Union[
-    LinformerControl,
-    LocalToGlobalControl,
-    RandomSlotControl,
-    CompressiveControl,
-    ClusterControl,
-    WindowControl,
-    DilatedControl,
-    MlpControl,
-]
+def phi_at(control: Control, t: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Control vector of position t (0-based)."""
+    if t < 0:
+        raise ValueError(f"negative position {t}")
+    return control.phi_rows(t, t + 1, weights)[0]
 
 
-def transition_for(strategy: ControlStrategy) -> TransitionOp:
-    """Queue strategies shift slots before each write; the rest accumulate."""
-    if isinstance(strategy, (WindowControl, DilatedControl)):
-        return TransitionOp.upper_shift(strategy.n)
-    return TransitionOp.identity(strategy.n)
+def phi_matrix(control: Control, length: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Stack phi_0..phi_{length-1} into a (length, n) matrix.
 
-
-def causal_legal(strategy: ControlStrategy) -> bool:
-    """True when phi_t never depends on tokens after t."""
-    if isinstance(strategy, ClusterControl):
-        return False  # membership comes from clustering the full sequence
-    if isinstance(strategy, MlpControl):
-        return strategy.normalization == "prefix"
-    return True
-
-
-def identity_strategy(n: int) -> LocalToGlobalControl:
-    """phi_t = e_t: with n = N this makes the bounded path reproduce exact
-    softmax attention (every token gets its own slot)."""
-    return LocalToGlobalControl(n=n, global_positions=tuple(range(n)))
+    Only accumulating strategies have a meaningful stacked form: queue
+    strategies reuse slots over time.
+    """
+    if control.stride:
+        raise ValueError("queue strategies have no stacked control matrix")
+    return control.phi_rows(0, length, weights)
 
 
 # --- activations -------------------------------------------------------------
@@ -220,119 +258,7 @@ def activation_grad(name: str, z: np.ndarray, a: np.ndarray, clamp: float | None
     raise ValueError(f"unknown activation {name!r}")
 
 
-def mlp_alpha(strategy: MlpControl, x: np.ndarray, clamp: float | None = None) -> np.ndarray:
-    """Raw slot weights for one token (1-D x) or a stack of tokens (2-D x)."""
-    x = np.asarray(x, dtype=np.float64)
-    z = x @ strategy.weights.T
-    return activation_forward(strategy.activation, z, clamp)
-
-
-# --- the per-position control vector -----------------------------------------
-
-
-def phi_at(
-    strategy: ControlStrategy,
-    t: int,
-    length: int,
-    x: np.ndarray | None = None,
-    alpha_sum: np.ndarray | None = None,
-):
-    """Control vector for position t (0-based) of a length-``length`` sequence.
-
-    For the learned MLP strategy the return value is the pair (phi, raw alpha);
-    all other strategies return just phi.  Sequence-normalized MLP needs the
-    per-slot normalizer ``alpha_sum`` = sum of all alphas (see
-    :func:`phi_mlp_sequence`, which computes the whole stack at once).
-    """
-    if not 0 <= t < length:
-        raise ValueError(f"position {t} outside sequence of length {length}")
-
-    if isinstance(strategy, LinformerControl):
-        if t >= strategy.max_len:
-            raise ValueError(
-                f"position {t} exceeds the fixed input length {strategy.max_len}"
-            )
-        return strategy.weights[:, t].copy()
-
-    if isinstance(strategy, LocalToGlobalControl):
-        phi = np.zeros(strategy.n)
-        if t in strategy.global_positions:
-            phi[strategy.global_positions.index(t)] = 1.0
-        return phi
-
-    if isinstance(strategy, RandomSlotControl):
-        if t >= strategy.max_len:
-            raise ValueError(f"position {t} exceeds materialized draws {strategy.max_len}")
-        phi = np.zeros(strategy.n)
-        phi[strategy.slots[t]] = 1.0
-        return phi
-
-    if isinstance(strategy, CompressiveControl):
-        slot = t // strategy.ratio
-        if slot >= strategy.n:
-            raise ValueError(
-                f"position {t} needs slot {slot}, but only {strategy.n} slots exist"
-            )
-        phi = np.zeros(strategy.n)
-        phi[slot] = 1.0 / strategy.ratio
-        return phi
-
-    if isinstance(strategy, ClusterControl):
-        sizes = strategy.membership.sum(axis=0)
-        if np.any(sizes == 0.0):
-            raise ValueError("membership has an empty cluster")
-        return strategy.membership[t] / sizes
-
-    if isinstance(strategy, (WindowControl, DilatedControl)):
-        phi = np.zeros(strategy.n)
-        phi[-1] = 1.0
-        return phi
-
-    if isinstance(strategy, MlpControl):
-        if x is None:
-            raise ValueError("MLP control needs the token representation x")
-        alpha = mlp_alpha(strategy, as_vector(x))
-        if strategy.normalization == "prefix":
-            return alpha.copy(), alpha
-        if alpha_sum is None:
-            raise ValueError(
-                "sequence normalization needs alpha_sum; use phi_mlp_sequence"
-            )
-        alpha_sum = as_vector(alpha_sum, strategy.n)
-        if np.any(alpha_sum <= 0.0):
-            raise NumericError("sequence normalizer has a zero entry")
-        return alpha / alpha_sum, alpha
-
-    raise TypeError(f"unknown strategy {type(strategy).__name__}")
-
-
-def phi_matrix(strategy: ControlStrategy, length: int, X: np.ndarray | None = None) -> np.ndarray:
-    """Stack phi_0..phi_{N-1} into an (N, n) matrix.
-
-    Only identity-transition strategies have a meaningful stacked form (queue
-    strategies reuse slots over time).  For the MLP strategy the rows are the
-    sequence-normalized weights when normalization is "sequence" and the raw
-    alphas when it is "prefix".
-    """
-    if isinstance(strategy, (WindowControl, DilatedControl)):
-        raise ValueError("queue strategies have no stacked control matrix")
-    if isinstance(strategy, MlpControl):
-        X = as_matrix(X, rows=length)
-        alphas = mlp_alpha(strategy, X)
-        if strategy.normalization == "sequence":
-            return _normalize_sequence(alphas)
-        return alphas
-    return np.stack([phi_at(strategy, t, length) for t in range(length)])
-
-
-# --- learned-control helpers --------------------------------------------------
-
-
-def _normalize_sequence(alphas: np.ndarray) -> np.ndarray:
-    total = alphas.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise NumericError("sequence normalizer has a zero entry")
-    return alphas / total
+# --- learned and cluster control, whole-sequence forms ---------------------------
 
 
 def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray, activation: str = "exp") -> np.ndarray:
@@ -341,8 +267,11 @@ def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray, activation: str = "exp"
     alpha_i = act(W x_i), phi_i = alpha_i / sum_j alpha_j (per slot), so the
     control weights written to each slot sum to exactly one over the sequence.
     """
-    strategy = MlpControl(weights=weights, normalization="sequence", activation=activation)
-    return _normalize_sequence(mlp_alpha(strategy, as_matrix(X)))
+    alphas = activation_forward(activation, as_matrix(X) @ as_matrix(weights).T)
+    total = alphas.sum(axis=0)
+    if np.any(total <= 0.0):
+        raise NumericError("sequence normalizer has a zero entry")
+    return alphas / total
 
 
 def phi_mlp_prefix(
@@ -357,10 +286,25 @@ def phi_mlp_prefix(
     the un-normalized memory) and the advanced running per-slot sum used by
     the normalized readout.  Never reads anything after position t.
     """
-    strategy = MlpControl(weights=weights, normalization="prefix", activation=activation)
-    alpha = mlp_alpha(strategy, as_vector(x_t))
-    running = as_vector(running_alpha_sum, strategy.n)
+    weights = as_matrix(weights)
+    alpha = activation_forward(activation, as_vector(x_t) @ weights.T)
+    running = as_vector(running_alpha_sum, weights.shape[0])
     return alpha, running + alpha
+
+
+def cluster_phi(membership: np.ndarray) -> np.ndarray:
+    """Control rows of centroid attention from a hard (N, n) membership.
+
+    Token t spreads 1/|cluster| onto its cluster's slot, so every column
+    sums to one and the memory rows are the cluster centroids.
+    """
+    m = as_matrix(membership)
+    if not np.all((m == 0.0) | (m == 1.0)) or not np.all(m.sum(axis=1) == 1.0):
+        raise ValueError("membership rows must be one-hot")
+    sizes = m.sum(axis=0)
+    if np.any(sizes == 0.0):
+        raise ValueError("membership has an empty cluster")
+    return m / sizes
 
 
 # --- clustering ---------------------------------------------------------------

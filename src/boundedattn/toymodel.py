@@ -192,7 +192,7 @@ class _Stack:
         # strategy-weight array per (site name, layer); tied layers share one
         self.sw_keys = {}
         for name, att in self.sites:
-            if not att.strategy.needs_weights():
+            if att.control is None or att.control.weight_shape(att.d_model) is None:
                 self.sw_keys[name] = [None] * self.layers
             elif cfg.tie_phi_across_layers:
                 self.sw_keys[name] = [f"phi.{att.site}"] * self.layers

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import strategies as st
 from .attention import AttentionConfig, StrategySpec, init_layer_params, mha_forward, pseudo_query_memory
+from .memory import TransitionOp
 from .memory import build_memory, full_attention, readout, readout_normalized, step, zero_memory
 from .numerics import finite_diff_grad, make_rng
 from .toymodel import SiteSpec, ToyLM, ToyModelConfig, ToySeq2Seq, masked_cross_entropy, next_token_loss
@@ -88,17 +89,17 @@ def suite_batch_recurrent() -> SuiteResult:
     worst = 0.0
     details = []
 
-    strategies = {
-        "linformer": st.LinformerControl(weights=rng.normal(size=(n, N))),
-        "local_to_global": st.LocalToGlobalControl(n=n, global_positions=(1, 5, 9, 20)),
-        "random": st.RandomSlotControl(n=n, seed=7, max_len=N),
-        "compressive": st.CompressiveControl(n=n, ratio=(N + n - 1) // n),
-        "cluster": st.ClusterControl(membership=st.cluster_assign(K, n, 6, make_rng(3))),
-        "mlp-sequence": st.MlpControl(weights=rng.normal(size=(n, d))),
-        "mlp-prefix": st.MlpControl(weights=rng.normal(size=(n, d)), normalization="prefix"),
+    controls = {
+        "linformer": st.phi_matrix(st.LinformerControl(n, N), N, rng.normal(size=(n, N))),
+        "local_to_global": st.phi_matrix(st.LocalToGlobalControl(n, (1, 5, 9, 20)), N),
+        "random": st.phi_matrix(st.RandomSlotControl(n, seed=7, max_len=N), N),
+        "compressive": st.phi_matrix(st.CompressiveControl(n, ratio=(N + n - 1) // n), N),
+        "cluster": st.cluster_phi(st.cluster_assign(K, n, 6, make_rng(3))),
+        "mlp-sequence": st.phi_mlp_sequence(X, rng.normal(size=(n, d))),
+        # the causal learned control writes its raw alphas into the memory
+        "mlp-prefix": st.activation_forward("exp", X @ rng.normal(size=(n, d)).T),
     }
-    for name, strat in strategies.items():
-        phis = st.phi_matrix(strat, N, X if isinstance(strat, st.MlpControl) else None)
+    for name, phis in controls.items():
         batch = build_memory(phis, K, V)
         folded = _fold(phis, K, V)
         err = max(
@@ -110,9 +111,8 @@ def suite_batch_recurrent() -> SuiteResult:
 
     # queue strategies: fold with the shift transition, compare the readout
     # against direct attention over the window / parity set (full queues only)
-    shift = st.transition_for(st.WindowControl(n=n))
-    phi_last = np.zeros(n)
-    phi_last[-1] = 1.0
+    shift = TransitionOp.upper_shift(n)
+    phi_last = st.phi_at(st.WindowControl(n), 0)
     state = zero_memory(n, d)
     q = rng.normal(size=d)
     win_err = 0.0
@@ -325,7 +325,7 @@ def suite_normalization() -> SuiteResult:
     # cluster control: every column of stacked controls sums to one
     K = rng.normal(size=(20, 4))
     m = st.cluster_assign(K, 5, 8, make_rng(4))
-    cphis = st.phi_matrix(st.ClusterControl(membership=m), 20)
+    cphis = st.cluster_phi(m)
     err = float(np.abs(cphis.sum(axis=0) - 1.0).max())
     worst = max(worst, err)
     details.append(f"cluster sums {err:.1e}")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -325,7 +327,7 @@ def test_backward_matches_finite_differences(site, kind, extra):
     _, tape, _ = att.mha_forward(X, Xkv, p, c)
     grads, dXq, dXkv = att.mha_backward(tape, R)
 
-    names = ["wq", "wk", "wv", "wo"] + (["strategy_weights"] if c.strategy.needs_weights() else [])
+    names = ["wq", "wk", "wv", "wo"] + (["strategy_weights"] if p.strategy_weights is not None else [])
     for name in names:
         def get(n=name):
             return getattr(p, n)
@@ -403,6 +405,38 @@ def test_config_rejects_future_peeking_causal_strategies():
             heads=3, d_model=8, d_head=4, site="causal",
             strategy=att.StrategySpec(kind="softmax"), n=4,
         )
+
+
+def _readme_site_table():
+    """kind -> (causal legal, encoder/cross legal), read from the README table."""
+    table = {}
+    for line in (Path(__file__).parents[1] / "README.md").read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = (cells[2] != "no", cells[3] != "no")
+    return table
+
+
+@pytest.mark.parametrize("site", att.SITES)
+@pytest.mark.parametrize("kind", att.STRATEGY_KINDS)
+def test_site_legality_matrix(kind, site):
+    # every kind x site either runs or is rejected at config validation,
+    # exactly as the README table says
+    table = _readme_site_table()
+    assert set(table) == set(att.STRATEGY_KINDS)
+    legal = table[kind][0 if site == "causal" else 1]
+    if not legal:
+        with pytest.raises(ValueError):
+            cfg(site=site, kind=kind, n=3)
+        return
+    c = cfg(site=site, kind=kind, n=3)
+    rng = make_rng(70)
+    X = rng.normal(size=(2, 6, 8))
+    Xkv = rng.normal(size=(2, 7, 8)) if site == "cross" else None
+    y, tape, _ = att.mha_forward(X, Xkv, make_params(c), c)
+    assert y.shape == X.shape and np.isfinite(y).all()
+    grads, _, _ = att.mha_backward(tape, np.ones_like(y))
+    assert ("strategy_weights" in grads) == (kind in ("mlp", "linformer"))
 
 
 def test_cross_requires_encoder_output():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,15 +50,30 @@ def test_bounded_state_constant_softmax_state_linear():
     assert mlp[8] == spec.layers * spec.heads * (2 * 4 * dh + 4) * 8
 
 
+CAUSAL_KINDS = ("softmax", "mlp", "linformer", "local_to_global", "random", "compressive",
+                "window", "dilated")
+
+
 def test_memory_audit_formula_matches_allocation():
-    for kind, n in (("mlp", 4), ("window", 4), ("softmax", 1)):
+    for kind in CAUSAL_KINDS:
         cfg = ToyModelConfig(
             layers=2, d_model=16, heads=2, ffn_mult=2, vocab=16, max_positions=32,
-            causal=SiteSpec(StrategySpec(kind=kind), n),
+            causal=SiteSpec(StrategySpec(kind=kind), 1 if kind == "softmax" else 4),
         )
         model = ToyLM(cfg)
         got = bm.run_memory_audit(model, 12)
-        assert got == bm.decoder_state_bytes(cfg, 12)
+        assert got == bm.decoder_state_bytes(cfg, 12), kind
+        # size_bytes counts every array the state holds: nothing uncounted
+        state = model.init_state(batch=2, capacity=12)
+        for t in range(12):
+            model.step(np.full(2, t % 16), state)
+        held = sum(
+            getattr(a, f.name).nbytes
+            for a in state.attn
+            for f in dataclasses.fields(a)
+            if isinstance(getattr(a, f.name), np.ndarray)
+        )
+        assert held // 2 == state.size_bytes() == got, kind
 
 
 def test_doubling_slots_doubles_memory_portion():

@@ -39,33 +39,6 @@ def test_softmax_shift_invariance():
         assert (base > 0.0).all()
 
 
-def test_outer_analytic():
-    np.testing.assert_array_equal(
-        numerics.outer([1.0, 2.0], [3.0, 4.0]), [[3.0, 4.0], [6.0, 8.0]]
-    )
-
-
-def test_outer_basis_vector_stores_in_one_slot():
-    e1 = np.array([1.0, 0.0, 0.0])
-    k = np.array([7.0, 9.0])
-    np.testing.assert_array_equal(
-        numerics.outer(e1, k), [[7.0, 9.0], [0.0, 0.0], [0.0, 0.0]]
-    )
-
-
-def test_outer_zero_vector_annihilates():
-    out = numerics.outer(np.zeros(3), [1.0, 2.0])
-    np.testing.assert_array_equal(out, np.zeros((3, 2)))
-
-
-def test_outer_matches_column_row_matmul():
-    rng = numerics.make_rng(3)
-    x = rng.normal(size=6)
-    y = rng.normal(size=4)
-    via_matmul = x.reshape(-1, 1) @ y.reshape(1, -1)
-    assert np.abs(numerics.outer(x, y) - via_matmul).max() <= 1e-12
-
-
 def test_finite_diff_constant_function():
     # sum of softmax is identically 1, so the gradient is ~0 everywhere
     rng = numerics.make_rng(2)

@@ -8,33 +8,35 @@ from boundedattn.numerics import make_rng, softmax
 
 def test_compressive_phi_values():
     c = st.CompressiveControl(n=2, ratio=2)
-    np.testing.assert_array_equal(st.phi_at(c, 0, 4), [0.5, 0.0])
-    np.testing.assert_array_equal(st.phi_at(c, 2, 4), [0.0, 0.5])
+    np.testing.assert_array_equal(st.phi_at(c, 0), [0.5, 0.0])
+    np.testing.assert_array_equal(st.phi_at(c, 2), [0.0, 0.5])
 
 
 def test_compressive_overflowing_slots_rejected():
     c = st.CompressiveControl(n=2, ratio=2)
     with pytest.raises(ValueError):
-        st.phi_at(c, 4, 6)
+        st.phi_at(c, 4)
 
 
 def test_cluster_phi_spreads_by_cluster_size():
     m = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    c = st.ClusterControl(membership=m)
-    np.testing.assert_array_equal(st.phi_at(c, 0, 3), [0.5, 0.0])
-    np.testing.assert_array_equal(st.phi_at(c, 2, 3), [0.0, 1.0])
+    phis = st.cluster_phi(m)
+    np.testing.assert_array_equal(phis[0], [0.5, 0.0])
+    np.testing.assert_array_equal(phis[2], [0.0, 1.0])
+    with pytest.raises(ValueError):
+        st.cluster_phi(np.array([[1.0, 0.0], [1.0, 0.0]]))  # empty cluster
 
 
 def test_mlp_zero_weights_sequence_mode_is_uniform():
     n, d, N = 3, 4, 5
-    c = st.MlpControl(weights=np.zeros((n, d)))
     X = make_rng(0).normal(size=(N, d))
-    phis = st.phi_matrix(c, N, X)
+    phis = st.phi_mlp_sequence(X, np.zeros((n, d)))
     np.testing.assert_allclose(phis, np.full((N, n), 1.0 / N), atol=1e-15)
-    # the per-position route agrees, given the sequence normalizer
-    alpha_sum = st.mlp_alpha(c, X).sum(axis=0)
-    phi, alpha = st.phi_at(c, 2, N, x=X[2], alpha_sum=alpha_sum)
-    np.testing.assert_allclose(phi, np.full(n, 1.0 / N), atol=1e-15)
+    # the causal route agrees at the last position
+    total = np.zeros(n)
+    for t in range(N):
+        alpha, total = st.phi_mlp_prefix(X[t], np.zeros((n, d)), total)
+    np.testing.assert_allclose(alpha / total, np.full(n, 1.0 / N), atol=1e-15)
     np.testing.assert_allclose(alpha, np.ones(n))
 
 
@@ -48,26 +50,27 @@ def test_random_strategy_is_deterministic():
 
 
 def test_linformer_rejects_overlong_positions():
-    c = st.LinformerControl(weights=np.zeros((3, 8)))
+    c = st.LinformerControl(n=3, max_len=8)
     with pytest.raises(ValueError):
-        st.phi_at(c, 8, 10)
+        st.phi_at(c, 8, np.zeros((3, 8)))
 
 
 def test_linformer_phi_is_column():
     w = make_rng(1).normal(size=(3, 8))
-    c = st.LinformerControl(weights=w)
-    np.testing.assert_array_equal(st.phi_at(c, 5, 8), w[:, 5])
+    c = st.LinformerControl(n=3, max_len=8)
+    np.testing.assert_array_equal(st.phi_at(c, 5, w), w[:, 5])
+    with pytest.raises(ValueError):
+        st.phi_at(c, 5)  # the learned columns are an argument
 
 
 def test_local_to_global_one_hot_or_zero():
     c = st.LocalToGlobalControl(n=3, global_positions=(1, 4, 5))
-    np.testing.assert_array_equal(st.phi_at(c, 1, 6), [1.0, 0.0, 0.0])
-    np.testing.assert_array_equal(st.phi_at(c, 4, 6), [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(st.phi_at(c, 0, 6), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(st.phi_at(c, 1), [1.0, 0.0, 0.0])
+    np.testing.assert_array_equal(st.phi_at(c, 4), [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(st.phi_at(c, 0), [0.0, 0.0, 0.0])
 
 
 def test_basis_strategies_have_at_most_one_nonzero():
-    rng = make_rng(8)
     N = 12
     cases = [
         st.LocalToGlobalControl(n=4, global_positions=(0, 3, 7, 11)),
@@ -78,20 +81,21 @@ def test_basis_strategies_have_at_most_one_nonzero():
     ]
     for c in cases:
         for t in range(N):
-            phi = st.phi_at(c, t, N)
+            phi = st.phi_at(c, t)
             assert np.count_nonzero(phi) <= 1
             if isinstance(c, st.CompressiveControl):
                 assert phi.max() == 1.0 / c.ratio
-    del rng
 
 
 def test_cluster_columns_sum_to_one():
     rng = make_rng(4)
     K = rng.normal(size=(16, 3))
     m = st.cluster_assign(K, n=4, iters=5, rng=make_rng(0))
-    c = st.ClusterControl(membership=m)
-    phis = st.phi_matrix(c, 16)
+    phis = st.cluster_phi(m)
     np.testing.assert_allclose(phis.sum(axis=0), np.ones(4), atol=1e-12)
+    # the attention-side control clusters each head's keys the same way
+    per_head = st.ClusterControl(n=4, iters=5, seed=0).phi_from_keys(K[None, None])
+    np.testing.assert_array_equal(per_head[0, 0], phis)
 
 
 # --- clustering ---------------------------------------------------------------
@@ -117,7 +121,7 @@ def test_kmeans_identity_clustering_recovers_exact_attention():
     V = rng.normal(size=(N, d))
     q = rng.normal(size=d)
     m = st.cluster_assign(K, n=N, iters=4, rng=make_rng(3))
-    phis = st.phi_matrix(st.ClusterControl(membership=m), N)
+    phis = st.cluster_phi(m)
     out = readout(q, build_memory(phis, K, V))
     assert np.abs(out - full_attention(q, K, V)).max() <= 1e-10
 
@@ -156,7 +160,7 @@ def test_centroids_match_control_vector_memory():
     N, n, d = 11, 3, 5
     K = rng.normal(size=(N, d))
     m = st.cluster_assign(K, n=n, iters=6, rng=make_rng(1))
-    phis = st.phi_matrix(st.ClusterControl(membership=m), N)
+    phis = st.cluster_phi(m)
     mem = build_memory(phis, K, K)
     assert np.abs(mem.ktilde - st.centroids_via_phi(K, m)).max() <= 1e-12
 
@@ -283,18 +287,65 @@ def test_phi_mlp_prefix_ignores_future_tokens():
 
 
 def test_phi_at_requires_x_for_mlp():
-    c = st.MlpControl(weights=np.zeros((2, 3)))
+    c = st.MlpControl(n=2)
     with pytest.raises(ValueError):
-        st.phi_at(c, 0, 4)
+        st.phi_at(c, 0, np.zeros((2, 3)))
 
 
 def test_causal_legality_classification():
-    assert st.causal_legal(st.WindowControl(n=4))
-    assert st.causal_legal(st.MlpControl(weights=np.zeros((2, 3)), normalization="prefix"))
-    assert not st.causal_legal(st.MlpControl(weights=np.zeros((2, 3))))
-    assert not st.causal_legal(st.ClusterControl(membership=np.eye(3)))
+    assert st.WindowControl(n=4).causal and not st.WindowControl(n=4).sequence
+    assert st.DilatedControl(n=4).causal and not st.DilatedControl(n=4).sequence
+    assert st.MlpControl(n=2).causal and st.MlpControl(n=2).sequence  # the site picks the normalizer
+    assert not st.ClusterControl(n=3).causal and st.ClusterControl(n=3).sequence
+    for c in (st.LinformerControl(2, 8), st.LocalToGlobalControl(2), st.RandomSlotControl(2, 0, 8),
+              st.CompressiveControl(2, 4)):
+        assert c.causal and c.sequence and c.stride == 0
 
 
 def test_identity_strategy_recovers_standard_basis():
-    phis = st.phi_matrix(st.identity_strategy(5), 5)
+    # local-to-global over its default positions (the first n) is e_t
+    phis = st.phi_matrix(st.LocalToGlobalControl(5), 5)
     np.testing.assert_array_equal(phis, np.eye(5))
+
+
+# --- vectorized rows ------------------------------------------------------------
+
+
+ROW_CASES = [
+    (st.LinformerControl(n=3, max_len=10), make_rng(5).normal(size=(3, 10))),
+    # rows 0, 1, 4, 5, 6 and 8 write nothing; slot 3 is never written
+    (st.LocalToGlobalControl(n=4, global_positions=(2, 7, 3)), None),
+    (st.LocalToGlobalControl(n=4), None),
+    (st.RandomSlotControl(n=4, seed=3, max_len=10), None),
+    (st.CompressiveControl(n=3, ratio=3), None),  # 9 positions, then overflow
+]
+ROW_IDS = ["linformer", "local_to_global-sparse", "local_to_global", "random", "compressive"]
+
+
+@pytest.mark.parametrize("control,weights", ROW_CASES, ids=ROW_IDS)
+def test_phi_matrix_equals_stacked_phi_at(control, weights):
+    N = 9
+    stacked = np.stack([st.phi_at(control, t, weights) for t in range(N)])
+    np.testing.assert_array_equal(st.phi_matrix(control, N, weights), stacked)
+    # any window of rows is the same slice of the stack
+    np.testing.assert_array_equal(control.phi_rows(2, 7, weights), stacked[2:7])
+
+
+@pytest.mark.parametrize("control,weights", ROW_CASES, ids=ROW_IDS)
+def test_overflow_fires_at_the_same_position(control, weights):
+    first_bad = None
+    for t in range(20):
+        try:
+            st.phi_at(control, t, weights)
+        except ValueError as e:
+            first_bad = t
+            assert f"position {t} " in str(e)
+            break
+    if first_bad is None:  # local-to-global has no overflow
+        assert st.phi_matrix(control, 20, weights).shape == (20, control.n)
+        return
+    assert st.phi_matrix(control, first_bad, weights).shape == (first_bad, control.n)
+    with pytest.raises(ValueError, match=f"position {first_bad} "):
+        st.phi_matrix(control, 20, weights)
+    with pytest.raises(ValueError, match=f"position {first_bad + 2} "):
+        control.phi_rows(first_bad + 2, first_bad + 4, weights)
