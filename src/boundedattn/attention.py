@@ -5,8 +5,12 @@ Drop-in replacement for softmax multihead attention at three sites:
 * ``encoder_self`` -- queries and keys/values from the same full sequence;
   the slot memory is built once from all tokens and every query reads it.
 * ``causal``       -- self-attention over the prefix; the memory is the
-  recurrent state ktilde_t = transition . ktilde_{t-1} + phi_t (x) k_t, with
-  an exactly equivalent parallel formulation used for training.
+  recurrent state ktilde_t = transition . ktilde_{t-1} + phi_t (x) k_t.
+  Training runs it in linear time.  The accumulating strategies use a
+  chunkwise scan: the masked parallel form inside chunks of C <= 128 tokens,
+  plus the (n x d_head) memory carried in from the earlier chunks, at
+  O(N C (n + d_head) + N n d_head) per head.  The queue strategies (window,
+  dilated) use n time-shifted slice products, at O(N n d_head).
 * ``cross``        -- decoder queries over a memory built once from the
   encoder output and cached in the decoder state for all decode steps.
 
@@ -57,6 +61,7 @@ _CONTROLS = {
     "dilated": lambda n, spec: st.DilatedControl(n),
 }
 STRATEGY_KINDS = tuple(_CONTROLS)
+NORMALIZATIONS = ("auto", "sequence", "prefix")
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,8 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.normalization not in NORMALIZATIONS:
+            raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -212,21 +219,6 @@ def _mlp_alpha(control: st.MlpControl, X: np.ndarray, weights: np.ndarray):
     return Z, st.activation_forward(control.activation, Z, clamp=st.EXP_CLAMP)
 
 
-def _queue_gather_indices(control: st.Control, length: int):
-    """Per-step slot -> source position map for the queue strategies.
-
-    After the step-t write, queue slot l holds the key written at position
-    t - stride*(n-1-l); slots whose source would be negative still hold the
-    zero pair the queue started with.
-    """
-    n, stride = control.n, control.stride
-    t = np.arange(length)[:, None]
-    sl = np.arange(n)[None, :]
-    idx = t - stride * (n - 1 - sl)
-    valid = idx >= 0
-    return np.clip(idx, 0, None), valid
-
-
 # --- per-family forward/backward kernels ---------------------------------------
 # Q, K, V are per-head tensors (B, H, N, d_head); A is the shared control
 # stack (B, N, n).  Each forward returns (out, cache) for its backward.
@@ -285,94 +277,203 @@ def _unwritten_bias(slot_mask: np.ndarray) -> np.ndarray:
     return bias
 
 
-def _additive_causal_forward(Q, K, V, A, normalize, tau, slot_mask=None):
-    # Parallel form of the recurrence ktilde_t = ktilde_{t-1} + alpha_t (x) k_t:
-    # the raw slot score of step t is sum_{i<=t} (q_t . k_i) A[i], divided by
-    # the running per-slot weight S_t when the strategy normalizes.
+# --- causal kernels ----------------------------------------------------------------
+# The accumulating strategies run a chunkwise scan, the queue strategies a sum
+# of time-shifted slices; neither holds an (N, N) or (N, n, d_head) array.
+
+_CHUNK = 128  # longest chunk of the additive causal scan
+
+
+def _chunking(N: int) -> tuple[int, int]:
+    """(chunk length c, chunk count) for N tokens: near-even chunks of <= _CHUNK."""
+    c = -(-N // -(-N // _CHUNK))
+    return c, -(-N // c)
+
+
+def _pad_time(x: np.ndarray, length: int, axis: int) -> np.ndarray:
+    """x with zero rows appended along ``axis`` up to ``length``."""
+    pad = length - x.shape[axis]
+    if pad == 0:
+        return x
+    widths = [(0, 0)] * x.ndim
+    widths[axis] = (0, pad)
+    return np.pad(x, widths)
+
+
+def _heads_to_chunks(x: np.ndarray, c: int, nc: int) -> np.ndarray:
+    """(B, H, N, d) -> (B*nc, H, c, d), the ragged tail padded with zero rows."""
+    B, H, _, d = x.shape
+    x = _pad_time(x, nc * c, axis=2)
+    return x.reshape(B, H, nc, c, d).transpose(0, 2, 1, 3, 4).reshape(B * nc, H, c, d)
+
+
+def _chunks_to_heads(x: np.ndarray, B: int, N: int) -> np.ndarray:
+    """(B*nc, H, c, d) -> (B, H, N, d), the padded tail dropped."""
+    _, H, c, d = x.shape
+    return x.reshape(B, -1, H, c, d).transpose(0, 2, 1, 3, 4).reshape(B, H, -1, d)[:, :, :N]
+
+
+def _by_chunk(x: np.ndarray, B: int) -> np.ndarray:
+    """(B*nc, ...) -> (B, nc, ...), a view: [:, 1:] are the chunks that read a
+    carried memory, [:, :-1] the chunks whose writes are carried."""
+    return x.reshape(B, -1, *x.shape[1:])
+
+
+def _swap(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
+def _additive_causal_forward(Q, K, V, A, normalize, tau):
+    # Chunkwise scan of the recurrence ktilde_t = ktilde_{t-1} + alpha_t (x) k_t.
+    # Inside a chunk the raw slot score of step t is the masked parallel form
+    # sum_{i<=t} (q_t . k_i) A[i], over that chunk's tokens only; each later
+    # chunk adds q_t . ktilde for the memory the earlier chunks left behind
+    # (their A_c^T K_c, cumsummed over chunks).  The learned control
+    # (normalize) divides by the running per-slot weight S_t; a constant
+    # control instead masks the slots it has not written yet.  With one chunk
+    # (N <= _CHUNK) this is the parallel form over the whole sequence.
     B, H, N, _ = Q.shape
     n = A.shape[2]
-    mask = np.tril(np.ones((N, N)))
-    P = np.matmul(Q, K.transpose(0, 1, 3, 2)) * mask
-    C = np.matmul(P.reshape(B, H * N, N), A).reshape(B, H, N, n)
+    c, nc = _chunking(N)
+    Q, K, V = (_heads_to_chunks(x, c, nc) for x in (Q, K, V))
+    # zero rows pad A, so S and the written-slot mask repeat their last row
+    A = _pad_time(A, nc * c, axis=1)
     if normalize:
         S = np.cumsum(A, axis=1)
         if np.any(S <= 0.0):
             raise NumericError("prefix normalizer hit zero (no weight written yet)")
-        s = C / (S[:, None, :, :] * tau)
+        S = S.reshape(B * nc, 1, c, n)
     else:
         S = None
-        s = C / tau
-    if slot_mask is not None:
-        s = s + _unwritten_bias(slot_mask)
+        bias = _unwritten_bias(written_slot_mask(A[0])).reshape(nc, 1, c, n)
+    A = A.reshape(B * nc, c, n)
+    mask = np.tril(np.ones((c, c)))
+    P = np.matmul(Q, _swap(K))
+    P *= mask
+    C = np.matmul(P.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
+    kmem = vmem = None
+    if nc > 1:
+        # memory entering chunks 1..nc-1: (B, nc-1, H, n, d_head)
+        A_in = _swap(_by_chunk(A[:, None], B)[:, :-1])
+        kmem = np.cumsum(np.matmul(A_in, _by_chunk(K, B)[:, :-1]), axis=1)
+        vmem = np.cumsum(np.matmul(A_in, _by_chunk(V, B)[:, :-1]), axis=1)
+        later = _by_chunk(C, B)[:, 1:]
+        later += np.matmul(_by_chunk(Q, B)[:, 1:], _swap(kmem))
+    if normalize:
+        s = C / (S * tau)
+    else:
+        s = (_by_chunk(C, B) / tau + bias).reshape(C.shape)
     a = softmax_rows(s)
-    g = a / S[:, None, :, :] if normalize else a
-    W2 = np.matmul(g.reshape(B, H * N, n), A.transpose(0, 2, 1)).reshape(B, H, N, N) * mask
+    g = a / S if normalize else a
+    W2 = np.matmul(g.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
+    W2 *= mask
     out = np.matmul(W2, V)
-    return out, {"P": P, "a": a, "s": s, "g": g, "W2": W2, "S": S, "A": A, "mask": mask}
+    if nc > 1:
+        later = _by_chunk(out, B)[:, 1:]
+        later += np.matmul(_by_chunk(g, B)[:, 1:], vmem)
+    cache = {"P": P, "a": a, "s": s, "g": g, "W2": W2, "S": S, "A": A, "mask": mask,
+             "kmem": kmem, "vmem": vmem}
+    return _chunks_to_heads(out, B, N), cache
 
 
 def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau):
     P, a, s, g, W2 = cache["P"], cache["a"], cache["s"], cache["g"], cache["W2"]
     S, A, mask = cache["S"], cache["A"], cache["mask"]
     B, H, N, _ = dout.shape
-    n = A.shape[2]
-    dW2 = np.matmul(dout, V.transpose(0, 1, 3, 2)) * mask
-    dV = np.matmul(W2.transpose(0, 1, 3, 2), dout)
-    dg = np.matmul(dW2.reshape(B, H * N, N), A).reshape(B, H, N, n)
+    c, n = A.shape[1:]
+    nc = A.shape[0] // B
+    dout, Q, K, V = (_heads_to_chunks(x, c, nc) for x in (dout, Q, K, V))
+    dW2 = np.matmul(dout, _swap(V))
+    dW2 *= mask
+    dV = np.matmul(_swap(W2), dout)
+    dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     # dA[b, i, l] = sum_{h,t} dW2[b,h,t,i] g[b,h,t,l]
-    dA = np.matmul(dW2.transpose(0, 3, 1, 2).reshape(B, N, H * N), g.reshape(B, H * N, n))
+    dA = np.matmul(dW2.transpose(0, 3, 1, 2).reshape(B * nc, c, H * c), g.reshape(B * nc, H * c, n))
+    if nc > 1:
+        later = _by_chunk(dg, B)[:, 1:]
+        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(cache["vmem"]))
+        dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
     if normalize:
-        da = dg / S[:, None, :, :]
-        dS = -np.sum(dg * g, axis=1) / S  # g = a / S
+        da = dg / S
+        dS = -np.sum(dg * g, axis=1, keepdims=True) / S  # g = a / S
     else:
         da = dg
     ds = softmax_rows_backward(a, da)
     if normalize:
-        dC = ds / (S[:, None, :, :] * tau)
-        dS -= np.sum(ds * s, axis=1) / S  # s = C / (S tau)
+        dC = ds / (S * tau)
+        dS -= np.sum(ds * s, axis=1, keepdims=True) / S  # s = C / (S tau)
     else:
         dC = ds / tau
-    dP = np.matmul(dC.reshape(B, H * N, n), A.transpose(0, 2, 1)).reshape(B, H, N, N) * mask
-    dA += np.matmul(P.transpose(0, 3, 1, 2).reshape(B, N, H * N), dC.reshape(B, H * N, n))
+    dP = np.matmul(dC.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
+    dP *= mask
+    dA += np.matmul(P.transpose(0, 3, 1, 2).reshape(B * nc, c, H * c), dC.reshape(B * nc, H * c, n))
     dQ = np.matmul(dP, K)
-    dK = np.matmul(dP.transpose(0, 1, 3, 2), Q)
+    dK = np.matmul(_swap(dP), Q)
+    if nc > 1:
+        later = _by_chunk(dQ, B)[:, 1:]
+        later += np.matmul(_by_chunk(dC, B)[:, 1:], cache["kmem"])
+        dkmem = np.matmul(_swap(_by_chunk(dC, B)[:, 1:]), _by_chunk(Q, B)[:, 1:])
+        # chunk j's writes reach the memory of every chunk after it
+        dkw = _reverse_cumsum(dkmem, axis=1)
+        dvw = _reverse_cumsum(dvmem, axis=1)
+        A_w = _by_chunk(A[:, None], B)[:, :-1]
+        K_w, V_w = _by_chunk(K, B)[:, :-1], _by_chunk(V, B)[:, :-1]
+        earlier = _by_chunk(dK, B)[:, :-1]
+        earlier += np.matmul(A_w, dkw)
+        earlier = _by_chunk(dV, B)[:, :-1]
+        earlier += np.matmul(A_w, dvw)
+        earlier = _by_chunk(dA, B)[:, :-1]
+        earlier += (np.matmul(K_w, _swap(dkw)) + np.matmul(V_w, _swap(dvw))).sum(axis=2)
+    dA = dA.reshape(B, -1, n)[:, :N]
     if normalize:
-        dA += _reverse_cumsum(dS, axis=1)  # S = cumsum(A)
+        dA += _reverse_cumsum(dS.reshape(B, -1, n)[:, :N], axis=1)  # S = cumsum(A)
+    dQ, dK, dV = (_chunks_to_heads(x, B, N) for x in (dQ, dK, dV))
     return dQ, dK, dV, dA
 
 
-def _queue_causal_forward(Q, K, V, idx, valid, tau):
-    # Gathered view of the FIFO queue: at step t slot l holds position
-    # idx[t, l], or the zero pair the queue started with (which scores
-    # q . 0 = 0, exactly like the materialized queue rows).
-    v4 = valid[None, None, :, :, None]
-    Kg = K[:, :, idx, :] * v4
-    Vg = V[:, :, idx, :] * v4
-    s = np.matmul(Kg, Q[..., None])[..., 0] / tau
-    a = softmax_rows(s)
-    out = np.matmul(a[:, :, :, None, :], Vg)[:, :, :, 0, :]
-    return out, {"a": a, "Kg": Kg, "Vg": Vg, "idx": idx, "valid": valid}
+def _queue_slices(n: int, stride: int, N: int) -> list[tuple[int, slice, slice]]:
+    """(slot l, step rows, source rows) for every queue slot that holds a pair.
+
+    After the step-t write, slot l holds the pair written at t - o with
+    o = stride*(n-1-l).
+    """
+    offsets = [(l, stride * (n - 1 - l)) for l in range(n)]
+    return [(l, slice(o, N), slice(0, N - o)) for l, o in offsets if o < N]
 
 
-def _queue_causal_backward(dout, Q, K, V, cache, tau):
-    a, Kg, Vg = cache["a"], cache["Kg"], cache["Vg"]
-    idx, valid = cache["idx"], cache["valid"]
-    da = np.matmul(Vg, dout[..., None])[..., 0]
-    dVg = a[..., None] * dout[:, :, :, None, :]
+def _queue_causal_forward(Q, K, V, n, stride, tau):
+    # Before its source step exists a slot still holds the zero pair the
+    # queue started with: it scores q . 0 = 0 and reads a zero value, exactly
+    # like the materialized queue rows.  So each slot's scores and readout are
+    # products of time-shifted slices of Q, K and V.
+    B, H, N, dh = Q.shape
+    Q, K, V = (np.ascontiguousarray(x) for x in (Q, K, V))
+    slices = _queue_slices(n, stride, N)
+    s = np.zeros((B, H, N, n))
+    for l, t, src in slices:
+        s[:, :, t, l] = np.einsum("bhtd,bhtd->bht", Q[:, :, t], K[:, :, src])
+    a = softmax_rows(s / tau)
+    out = np.zeros((B, H, N, dh))
+    for l, t, src in slices:
+        out[:, :, t] += a[:, :, t, l, None] * V[:, :, src]
+    return out, {"a": a}
+
+
+def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
+    a = cache["a"]
+    B, H, N, n = a.shape
+    dout, Q, K, V = (np.ascontiguousarray(x) for x in (dout, Q, K, V))
+    slices = _queue_slices(n, stride, N)
+    da = np.zeros_like(a)
+    dQ, dK, dV = (np.zeros(Q.shape) for _ in range(3))
+    for l, t, src in slices:
+        da[:, :, t, l] = np.einsum("bhtd,bhtd->bht", dout[:, :, t], V[:, :, src])
+        dV[:, :, src] += a[:, :, t, l, None] * dout[:, :, t]
     ds = softmax_rows_backward(a, da) / tau
-    dQ = np.matmul(ds[:, :, :, None, :], Kg)[:, :, :, 0, :]
-    dKg = ds[..., None] * Q[:, :, :, None, :]
-    # scatter the gathered gradients back to their source positions
-    dKt = np.zeros_like(K).transpose(2, 0, 1, 3)
-    dVt = np.zeros_like(V).transpose(2, 0, 1, 3)
-    for sl in range(idx.shape[1]):
-        steps = np.flatnonzero(valid[:, sl])
-        if steps.size == 0:
-            continue
-        rows = idx[steps, sl]
-        np.add.at(dKt, rows, dKg[:, :, steps, sl, :].transpose(2, 0, 1, 3))
-        np.add.at(dVt, rows, dVg[:, :, steps, sl, :].transpose(2, 0, 1, 3))
-    return dQ, dKt.transpose(1, 2, 0, 3), dVt.transpose(1, 2, 0, 3)
+    for l, t, src in slices:
+        dQ[:, :, t] += ds[:, :, t, l, None] * K[:, :, src]
+        dK[:, :, src] += ds[:, :, t, l, None] * Q[:, :, t]
+    return dQ, dK, dV
 
 
 def _softmax_forward(Q, K, V, tau, causal):
@@ -469,21 +570,17 @@ def mha_forward(
         out, cache = _oneshot_forward(Q, K, V, phi, tau)
         ar["family"] = "oneshot"
     elif control.stride:
-        idx, valid = _queue_gather_indices(control, N)
-        out, cache = _queue_causal_forward(Q, K, V, idx, valid, tau)
+        out, cache = _queue_causal_forward(Q, K, V, control.n, control.stride, tau)
         ar["family"] = "queue"
     else:
-        if isinstance(control, st.MlpControl):
+        normalize = isinstance(control, st.MlpControl)
+        if normalize:
             ar["Z"], A = _mlp_alpha(control, Xq, params.strategy_weights)
             ar["alpha"] = A
-            normalize = True
-            slot_mask = None
         else:
             phi = st.phi_matrix(control, N, params.strategy_weights)
             A = np.broadcast_to(phi, (B, N, config.n))
-            normalize = False
-            slot_mask = written_slot_mask(phi)
-        out, cache = _additive_causal_forward(Q, K, V, A, normalize, tau, slot_mask)
+        out, cache = _additive_causal_forward(Q, K, V, A, normalize, tau)
         ar["family"] = "additive"
         ar["normalize"] = normalize
 
@@ -520,7 +617,7 @@ def mha_backward(tape: GradTape, d_out):
     if family == "softmax":
         dQ, dK, dV = _softmax_backward(dout_h, Q, K, V, cache, tau)
     elif family == "queue":
-        dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, tau)
+        dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, config.control.stride, tau)
     elif family == "additive":
         dQ, dK, dV, dA = _additive_causal_backward(dout_h, Q, K, V, cache, ar["normalize"], tau)
     else:

@@ -159,16 +159,19 @@ def apply_overrides(cfg: dict, args) -> dict:
 def strategy_from_config(sc: dict) -> StrategySpec:
     if sc["kind"] not in STRATEGY_KINDS:
         raise ConfigError(f"strategy.kind must be one of {STRATEGY_KINDS}, got {sc['kind']!r}")
-    return StrategySpec(
-        kind=sc["kind"],
-        activation=sc["activation"],
-        normalization=sc["normalization"],
-        seed=int(sc["seed"]),
-        ratio=int(sc["ratio"]),
-        global_positions=tuple(int(p) for p in sc["global_positions"]),
-        cluster_iters=int(sc["cluster_iters"]),
-        max_len=int(sc["max_len"]),
-    )
+    try:
+        return StrategySpec(
+            kind=sc["kind"],
+            activation=sc["activation"],
+            normalization=sc["normalization"],
+            seed=int(sc["seed"]),
+            ratio=int(sc["ratio"]),
+            global_positions=tuple(int(p) for p in sc["global_positions"]),
+            cluster_iters=int(sc["cluster_iters"]),
+            max_len=int(sc["max_len"]),
+        )
+    except ValueError as e:
+        raise ConfigError(str(e))
 
 
 def model_config_from(cfg: dict) -> tm.ToyModelConfig:

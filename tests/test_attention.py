@@ -71,18 +71,42 @@ STREAMABLE = [
 ]
 
 
-@pytest.mark.parametrize("kind,extra", STREAMABLE)
-def test_causal_batch_equals_streaming(kind, extra):
-    rng = make_rng(42)
-    B, N, d = 2, 12, 8
-    X = rng.normal(size=(B, N, d))
-    c = cfg(site="causal", kind=kind, n=3, d_model=d, **extra)
+def _batch_minus_stream(c, N, B=2):
+    X = make_rng(42).normal(size=(B, N, c.d_model))
     p = make_params(c, seed=7)
     y_batch, _, _ = att.mha_forward(X, None, p, c)
     state = att.init_attn_state(c, p, batch=B, capacity=N)
     outs = [att.mha_forward(X[:, t], None, p, c, state=state)[0] for t in range(N)]
-    y_stream = np.stack(outs, axis=1)
-    assert np.abs(y_batch - y_stream).max() <= 1e-10
+    return np.abs(y_batch - np.stack(outs, axis=1)).max()
+
+
+@pytest.mark.parametrize("kind,extra", STREAMABLE)
+def test_causal_batch_equals_streaming(kind, extra):
+    assert _batch_minus_stream(cfg(site="causal", kind=kind, n=3, d_model=8, **extra), 12) <= 1e-10
+
+
+CHUNK = att._CHUNK
+MULTI_CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
+MULTI_CHUNK = [
+    ("mlp", {}),
+    ("mlp", {"activation": "sigmoid"}),
+    ("linformer", {"max_len": 2 * CHUNK + 5}),
+    ("random", {"seed": 11, "max_len": 2 * CHUNK + 5}),
+    ("compressive", {"ratio": 70}),  # 4 slots reach 280 tokens
+    # slot 2 is first written in the second chunk, slot 3 never
+    ("local_to_global", {"global_positions": (0, 2, CHUNK + 20)}),
+    ("window", {}),
+    ("dilated", {}),
+]
+
+
+@pytest.mark.parametrize("N", MULTI_CHUNK_LENGTHS)
+@pytest.mark.parametrize("kind,extra", MULTI_CHUNK)
+def test_multi_chunk_causal_batch_equals_streaming(kind, extra, N):
+    # the additive training kernels split time into chunks; the recurrence
+    # they must agree with knows none
+    c = cfg(site="causal", kind=kind, n=4, d_model=8, **extra)
+    assert _batch_minus_stream(c, N) <= 1e-10
 
 
 @pytest.mark.parametrize("kind,extra", [
@@ -311,13 +335,30 @@ GRAD_CASES = [
     ("cross", "mlp", {}),
     ("encoder_self", "softmax", {}),
     ("cross", "softmax", {}),
+    ("causal", "dilated", {}),
+    ("causal", "compressive", {"ratio": 2}),
+    ("causal", "local_to_global", {"global_positions": (0, 3)}),  # slot 2 never written
 ]
 
 
 @pytest.mark.parametrize("site,kind,extra", GRAD_CASES)
 def test_backward_matches_finite_differences(site, kind, extra):
+    _gradcheck(site, kind, extra, N=6)
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("mlp", {}),
+    ("linformer", {"max_len": CHUNK + 3}),
+    ("window", {}),
+])
+def test_multi_chunk_backward_matches_finite_differences(kind, extra):
+    # two chunks, the second ragged: the carried memory and its gradient
+    _gradcheck("causal", kind, extra, N=CHUNK + 3)
+
+
+def _gradcheck(site, kind, extra, N):
     rng = make_rng(77)
-    N, d = 6, 8
+    d = 8
     X = rng.normal(size=(N, d))
     Xkv = rng.normal(size=(7, d)) if site == "cross" else None
     c = cfg(site=site, kind=kind, n=3, d_model=d, **extra)
@@ -356,6 +397,41 @@ def test_backward_matches_finite_differences(site, kind, extra):
         assert (np.abs(dXkv - fd_kv) / denom).max() <= 1e-4
 
 
+@pytest.mark.parametrize("kind,extra", [
+    ("mlp", {}),
+    ("linformer", {"max_len": 2 * CHUNK + 5}),
+    ("dilated", {}),
+])
+def test_three_chunk_backward_matches_directional_derivatives(kind, extra):
+    # three chunks: a chunk's writes reach every later chunk, so the carried
+    # memory's gradient is a reverse cumsum over chunks; one random direction
+    # per input keeps this to two forwards each
+    rng = make_rng(78)
+    N, d, h = 2 * CHUNK + 5, 8, 1e-6
+    c = cfg(site="causal", kind=kind, n=3, d_model=d, **extra)
+    p = make_params(c, seed=21)
+    X, R = rng.normal(size=(N, d)), rng.normal(size=(N, d))
+    _, tape, _ = att.mha_forward(X, None, p, c)
+    grads, dX, _ = att.mha_backward(tape, R)
+    grads["X"] = dX
+
+    def loss(name, value):
+        if name == "X":
+            y, _, _ = att.mha_forward(value, None, p, c)
+            return float((y * R).sum())
+        base = getattr(p, name)
+        setattr(p, name, value)
+        y, _, _ = att.mha_forward(X, None, p, c)
+        setattr(p, name, base)
+        return float((y * R).sum())
+
+    for name, g in grads.items():
+        x0 = X if name == "X" else getattr(p, name)
+        u = rng.normal(size=x0.shape)
+        fd = (loss(name, x0 + h * u) - loss(name, x0 - h * u)) / (2 * h)
+        assert abs(fd - (g * u).sum()) <= 1e-5 * max(abs(fd), 1.0), name
+
+
 def test_zero_upstream_gives_zero_grads():
     rng = make_rng(50)
     X = rng.normal(size=(6, 8))
@@ -390,7 +466,50 @@ def test_tape_reuse_rejected():
         att.mha_backward(tape, np.zeros((4, 8)))
 
 
+def _tape_nbytes(tape):
+    """Bytes of the distinct arrays a tape holds, nested dicts included."""
+    seen, total, todo = set(), 0, [tape.arrays]
+    while todo:
+        for v in todo.pop().values():
+            if isinstance(v, dict):
+                todo.append(v)
+            elif isinstance(v, np.ndarray) and id(v) not in seen:
+                seen.add(id(v))
+                total += v.nbytes
+    return total
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("mlp", {}),
+    ("window", {}),
+    ("dilated", {}),
+    ("random", {"max_len": 4 * CHUNK}),
+])
+def test_causal_tape_grows_linearly(kind, extra):
+    sizes = []
+    for N in (CHUNK, 4 * CHUNK):
+        c = cfg(site="causal", kind=kind, n=4, d_model=16, **extra)
+        X = make_rng(53).normal(size=(1, N, 16))
+        _, tape, _ = att.mha_forward(X, None, make_params(c), c)
+        sizes.append(_tape_nbytes(tape))
+    assert sizes[1] / sizes[0] <= 4.5
+
+
+def test_queue_tape_keeps_only_readout_weights():
+    c = cfg(site="causal", kind="window", n=4)
+    _, tape, _ = att.mha_forward(make_rng(54).normal(size=(20, 8)), None, make_params(c), c)
+    cache = tape.arrays["cache"]
+    assert list(cache) == ["a"] and cache["a"].shape == (1, 2, 20, 4)
+
+
 # --- config validation ----------------------------------------------------------
+
+
+def test_strategy_spec_rejects_unknown_normalization():
+    with pytest.raises(ValueError, match="normalization"):
+        att.StrategySpec(kind="mlp", normalization="bogus")
+    for norm in ("auto", "sequence", "prefix"):
+        att.StrategySpec(kind="mlp", normalization=norm)
 
 
 def test_config_rejects_future_peeking_causal_strategies():

@@ -47,6 +47,12 @@ def test_unknown_config_key_reports_path(tmp_path, capsys):
     assert "train.stepz" in capsys.readouterr().err
 
 
+def test_unknown_normalization_is_a_config_error(tmp_path, capsys):
+    cfg = tiny_train_cfg(tmp_path, strategy={"kind": "mlp", "n": 4, "normalization": "bogus"})
+    assert run(["train", "--config", str(cfg)]) == 2
+    assert "normalization" in capsys.readouterr().err
+
+
 def test_train_writes_checkpoint_and_curve(tmp_path, capsys):
     cfg = tiny_train_cfg(tmp_path)
     assert run(["train", "--config", str(cfg)]) == 0
