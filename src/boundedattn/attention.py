@@ -6,11 +6,14 @@ Drop-in replacement for softmax multihead attention at three sites:
   the slot memory is built once from all tokens and every query reads it.
 * ``causal``       -- self-attention over the prefix; the memory is the
   recurrent state ktilde_t = transition . ktilde_{t-1} + phi_t (x) k_t.
-  Training runs it in linear time.  The accumulating strategies use a
-  chunkwise scan: the masked parallel form inside chunks of C <= 128 tokens,
-  plus the (n x d_head) memory carried in from the earlier chunks, at
+  Training runs it in linear time, on one grid of chunks of C <= 32 steps
+  with the heavy work in batched GEMMs.  The accumulating strategies use a
+  chunkwise scan: the masked parallel form inside a chunk, plus the
+  (n x d_head) memory carried in from the earlier chunks, at
   O(N C (n + d_head) + N n d_head) per head.  The queue strategies (window,
-  dilated) use n time-shifted slice products, at O(N n d_head).
+  dilated), whose n slots reach back h = stride (n - 1) steps, score each
+  chunk against the C + h key rows it can reach in one (C x (C + h)) GEMM
+  and read the slot scores off a strided band of it, at O(N (C + h) d_head).
 * ``cross``        -- decoder queries over a memory built once from the
   encoder output and cached in the decoder state for all decode steps.
 
@@ -205,6 +208,18 @@ def _reverse_cumsum(x: np.ndarray, axis: int) -> np.ndarray:
     return np.flip(np.cumsum(np.flip(x, axis), axis=axis), axis)
 
 
+def _chunk_cumsum(x: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """x summed in place over its chunk axis 1, from the back when reverse.
+
+    One add per chunk: numpy's cumsum over a leading axis runs its inner loop
+    across the chunks, which is about 5x slower for a few dozen chunks.
+    """
+    steps = range(x.shape[1] - 2, -1, -1) if reverse else range(1, x.shape[1])
+    for j in steps:
+        x[:, j] += x[:, j + 1 if reverse else j - 1]
+    return x
+
+
 def fold_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """sum over batch and time of a[..., i] b[..., j]: one flat GEMM."""
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
@@ -278,10 +293,10 @@ def _unwritten_bias(slot_mask: np.ndarray) -> np.ndarray:
 
 
 # --- causal kernels ----------------------------------------------------------------
-# The accumulating strategies run a chunkwise scan, the queue strategies a sum
-# of time-shifted slices; neither holds an (N, N) or (N, n, d_head) array.
+# The accumulating strategies run a chunkwise scan, the queue strategies
+# banded block GEMMs; neither holds an (N, N) or (N, n, d_head) array.
 
-_CHUNK = 128  # longest chunk of the additive causal scan
+_CHUNK = 32  # longest chunk of the causal kernels
 
 
 def _chunking(N: int) -> tuple[int, int]:
@@ -292,12 +307,11 @@ def _chunking(N: int) -> tuple[int, int]:
 
 def _pad_time(x: np.ndarray, length: int, axis: int) -> np.ndarray:
     """x with zero rows appended along ``axis`` up to ``length``."""
-    pad = length - x.shape[axis]
-    if pad == 0:
+    if length == x.shape[axis]:
         return x
-    widths = [(0, 0)] * x.ndim
-    widths[axis] = (0, pad)
-    return np.pad(x, widths)
+    out = np.zeros(x.shape[:axis] + (length,) + x.shape[axis + 1:])
+    out[(slice(None),) * axis + (slice(0, x.shape[axis]),)] = x
+    return out
 
 
 def _heads_to_chunks(x: np.ndarray, c: int, nc: int) -> np.ndarray:
@@ -323,15 +337,21 @@ def _swap(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
 
 
+def _head_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum over heads and steps of x[b, h, t, i] y[b, h, t, l]: (b, i, l), one
+    GEMM per chunk with the heads stacked on the contracted axis."""
+    b = x.shape[0]
+    return _swap(np.matmul(_swap(y.reshape(b, -1, y.shape[-1])), x.reshape(b, -1, x.shape[-1])))
+
+
 def _additive_causal_forward(Q, K, V, A, normalize, tau):
     # Chunkwise scan of the recurrence ktilde_t = ktilde_{t-1} + alpha_t (x) k_t.
     # Inside a chunk the raw slot score of step t is the masked parallel form
     # sum_{i<=t} (q_t . k_i) A[i], over that chunk's tokens only; each later
     # chunk adds q_t . ktilde for the memory the earlier chunks left behind
-    # (their A_c^T K_c, cumsummed over chunks).  The learned control
+    # (their A_c^T K_c, summed over chunks).  The learned control
     # (normalize) divides by the running per-slot weight S_t; a constant
-    # control instead masks the slots it has not written yet.  With one chunk
-    # (N <= _CHUNK) this is the parallel form over the whole sequence.
+    # control instead masks the slots it has not written yet.
     B, H, N, _ = Q.shape
     n = A.shape[2]
     c, nc = _chunking(N)
@@ -350,19 +370,20 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
     mask = np.tril(np.ones((c, c)))
     P = np.matmul(Q, _swap(K))
     P *= mask
-    C = np.matmul(P.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
+    s = np.matmul(P.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     kmem = vmem = None
     if nc > 1:
         # memory entering chunks 1..nc-1: (B, nc-1, H, n, d_head)
         A_in = _swap(_by_chunk(A[:, None], B)[:, :-1])
-        kmem = np.cumsum(np.matmul(A_in, _by_chunk(K, B)[:, :-1]), axis=1)
-        vmem = np.cumsum(np.matmul(A_in, _by_chunk(V, B)[:, :-1]), axis=1)
-        later = _by_chunk(C, B)[:, 1:]
+        kmem = _chunk_cumsum(np.matmul(A_in, _by_chunk(K, B)[:, :-1]))
+        vmem = _chunk_cumsum(np.matmul(A_in, _by_chunk(V, B)[:, :-1]))
+        later = _by_chunk(s, B)[:, 1:]
         later += np.matmul(_by_chunk(Q, B)[:, 1:], _swap(kmem))
     if normalize:
-        s = C / (S * tau)
+        s /= S * tau
     else:
-        s = (_by_chunk(C, B) / tau + bias).reshape(C.shape)
+        s /= tau
+        _by_chunk(s, B)[...] += bias
     a = softmax_rows(s)
     g = a / S if normalize else a
     W2 = np.matmul(g.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
@@ -376,7 +397,9 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
     return _chunks_to_heads(out, B, N), cache
 
 
-def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau):
+def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau, grad_A):
+    # grad_A: the control has weights, so the gradient reaches A (dA is None
+    # otherwise)
     P, a, s, g, W2 = cache["P"], cache["a"], cache["s"], cache["g"], cache["W2"]
     S, A, mask = cache["S"], cache["A"], cache["mask"]
     B, H, N, _ = dout.shape
@@ -387,8 +410,8 @@ def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau):
     dW2 *= mask
     dV = np.matmul(_swap(W2), dout)
     dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
-    # dA[b, i, l] = sum_{h,t} dW2[b,h,t,i] g[b,h,t,l]
-    dA = np.matmul(dW2.transpose(0, 3, 1, 2).reshape(B * nc, c, H * c), g.reshape(B * nc, H * c, n))
+    if grad_A:
+        dA = _head_sum(dW2, g)
     if nc > 1:
         later = _by_chunk(dg, B)[:, 1:]
         later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(cache["vmem"]))
@@ -406,7 +429,8 @@ def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau):
         dC = ds / tau
     dP = np.matmul(dC.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
     dP *= mask
-    dA += np.matmul(P.transpose(0, 3, 1, 2).reshape(B * nc, c, H * c), dC.reshape(B * nc, H * c, n))
+    if grad_A:
+        dA += _head_sum(P, dC)
     dQ = np.matmul(dP, K)
     dK = np.matmul(_swap(dP), Q)
     if nc > 1:
@@ -414,65 +438,105 @@ def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau):
         later += np.matmul(_by_chunk(dC, B)[:, 1:], cache["kmem"])
         dkmem = np.matmul(_swap(_by_chunk(dC, B)[:, 1:]), _by_chunk(Q, B)[:, 1:])
         # chunk j's writes reach the memory of every chunk after it
-        dkw = _reverse_cumsum(dkmem, axis=1)
-        dvw = _reverse_cumsum(dvmem, axis=1)
+        dkw = _chunk_cumsum(dkmem, reverse=True)
+        dvw = _chunk_cumsum(dvmem, reverse=True)
         A_w = _by_chunk(A[:, None], B)[:, :-1]
-        K_w, V_w = _by_chunk(K, B)[:, :-1], _by_chunk(V, B)[:, :-1]
         earlier = _by_chunk(dK, B)[:, :-1]
         earlier += np.matmul(A_w, dkw)
         earlier = _by_chunk(dV, B)[:, :-1]
         earlier += np.matmul(A_w, dvw)
-        earlier = _by_chunk(dA, B)[:, :-1]
-        earlier += (np.matmul(K_w, _swap(dkw)) + np.matmul(V_w, _swap(dvw))).sum(axis=2)
+        if grad_A:
+            K_w, V_w = _by_chunk(K, B)[:, :-1], _by_chunk(V, B)[:, :-1]
+            earlier = _by_chunk(dA, B)[:, :-1]
+            earlier += (np.matmul(K_w, _swap(dkw)) + np.matmul(V_w, _swap(dvw))).sum(axis=2)
+    dQ, dK, dV = (_chunks_to_heads(x, B, N) for x in (dQ, dK, dV))
+    if not grad_A:
+        return dQ, dK, dV, None
     dA = dA.reshape(B, -1, n)[:, :N]
     if normalize:
         dA += _reverse_cumsum(dS.reshape(B, -1, n)[:, :N], axis=1)  # S = cumsum(A)
-    dQ, dK, dV = (_chunks_to_heads(x, B, N) for x in (dQ, dK, dV))
     return dQ, dK, dV, dA
 
 
-def _queue_slices(n: int, stride: int, N: int) -> list[tuple[int, slice, slice]]:
-    """(slot l, step rows, source rows) for every queue slot that holds a pair.
+def _windows(x: np.ndarray, c: int, nc: int, h: int) -> np.ndarray:
+    """(B, H, N, d) -> (B, H, nc, c + h, d), a read-only view of x with h zero
+    rows in front and zero rows behind: block j sees padded rows
+    [j*c, j*c + c + h), and padded row t + stride*l is the pair slot l holds
+    at step t."""
+    B, H, N, d = x.shape
+    padded = np.zeros((B, H, h + nc * c, d))
+    padded[:, :, h: h + N] = x
+    sb, sh, st_, sd = padded.strides
+    return np.lib.stride_tricks.as_strided(
+        padded, (B, H, nc, c + h, d), (sb, sh, c * st_, st_, sd), writeable=False)
 
-    After the step-t write, slot l holds the pair written at t - o with
-    o = stride*(n-1-l).
-    """
-    offsets = [(l, stride * (n - 1 - l)) for l in range(n)]
-    return [(l, slice(o, N), slice(0, N - o)) for l, o in offsets if o < N]
+
+def _band(x: np.ndarray, n: int, stride: int) -> np.ndarray:
+    """(..., c, c + h) -> (..., c, n) view of the entries [i, i + stride*l]:
+    row i's n queue slots, all distinct since stride*(n-1) = h < c + h + 1."""
+    *lead, c, _ = x.shape
+    *outer, si, sj = x.strides
+    return np.lib.stride_tricks.as_strided(x, (*lead, c, n), (*outer, si + sj, stride * sj))
+
+
+def _put_band(W: np.ndarray, x: np.ndarray, stride: int) -> np.ndarray:
+    """Write (B, H, N, n) per-slot values onto the band of the (B, H, nc, c,
+    c + h) block matrices W: x[t, l] at [t - j*c, t - j*c + stride*l]."""
+    B, H, nc, c, _ = W.shape
+    _band(W, x.shape[-1], stride)[...] = _pad_time(x, nc * c, axis=2).reshape(B, H, nc, c, -1)
+    return W
+
+
+def _overlap_add(win: np.ndarray, h: int, N: int) -> np.ndarray:
+    """Sum (B, H, nc, c + h, d) per-block window rows back onto the padded
+    rows they were read from, and drop the padding: (B, H, N, d).  Windows
+    step by c rows, so window row r of block j adds to c-row block j + r // c:
+    one pass per c rows of window, more than two when h > c."""
+    B, H, nc, w, d = win.shape
+    c = w - h
+    out = np.zeros((B, H, nc + -(-h // c), c, d))
+    for r in range(0, w, c):
+        k = min(c, w - r)
+        out[:, :, r // c: r // c + nc, :k] += win[:, :, :, r: r + k]
+    return out.reshape(B, H, -1, d)[:, :, h: h + N]
 
 
 def _queue_causal_forward(Q, K, V, n, stride, tau):
-    # Before its source step exists a slot still holds the zero pair the
-    # queue started with: it scores q . 0 = 0 and reads a zero value, exactly
-    # like the materialized queue rows.  So each slot's scores and readout are
-    # products of time-shifted slices of Q, K and V.
+    # After the step-t write, slot l holds the pair written at t - h + stride*l
+    # (h = stride*(n-1)), which is row t + stride*l of K and V with h zero
+    # rows in front.  Before its source step exists a slot still holds the
+    # zero pair the queue started with: it scores q . 0 = 0 and reads a zero
+    # value.  Each block of c steps makes one (c x (c + h)) score GEMM against
+    # the key rows its queues can hold; the slot scores are a strided band of
+    # it, and the readout is the band-placed weights times the same rows.
     B, H, N, dh = Q.shape
-    Q, K, V = (np.ascontiguousarray(x) for x in (Q, K, V))
-    slices = _queue_slices(n, stride, N)
-    s = np.zeros((B, H, N, n))
-    for l, t, src in slices:
-        s[:, :, t, l] = np.einsum("bhtd,bhtd->bht", Q[:, :, t], K[:, :, src])
-    a = softmax_rows(s / tau)
-    out = np.zeros((B, H, N, dh))
-    for l, t, src in slices:
-        out[:, :, t] += a[:, :, t, l, None] * V[:, :, src]
-    return out, {"a": a}
+    c, nc = _chunking(N)
+    h = stride * (n - 1)
+    Qc = _pad_time(Q, nc * c, axis=2).reshape(B, H, nc, c, dh)
+    Kw, Vw = (_windows(x, c, nc, h) for x in (K, V))
+    scores = np.matmul(Qc, _swap(Kw))
+    s = _band(scores, n, stride) / tau
+    a = softmax_rows(s.reshape(B, H, nc * c, n)[:, :, :N])
+    out = np.matmul(_put_band(np.zeros(scores.shape), a, stride), Vw)
+    return out.reshape(B, H, nc * c, dh)[:, :, :N], {"a": a}
 
 
 def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
     a = cache["a"]
     B, H, N, n = a.shape
-    dout, Q, K, V = (np.ascontiguousarray(x) for x in (dout, Q, K, V))
-    slices = _queue_slices(n, stride, N)
-    da = np.zeros_like(a)
-    dQ, dK, dV = (np.zeros(Q.shape) for _ in range(3))
-    for l, t, src in slices:
-        da[:, :, t, l] = np.einsum("bhtd,bhtd->bht", dout[:, :, t], V[:, :, src])
-        dV[:, :, src] += a[:, :, t, l, None] * dout[:, :, t]
-    ds = softmax_rows_backward(a, da) / tau
-    for l, t, src in slices:
-        dQ[:, :, t] += ds[:, :, t, l, None] * K[:, :, src]
-        dK[:, :, src] += ds[:, :, t, l, None] * Q[:, :, t]
+    dh = Q.shape[-1]
+    c, nc = _chunking(N)
+    h = stride * (n - 1)
+    Qc, dc = (_pad_time(x, nc * c, axis=2).reshape(B, H, nc, c, dh) for x in (Q, dout))
+    Kw, Vw = (_windows(x, c, nc, h) for x in (K, V))
+    da = _band(np.matmul(dc, _swap(Vw)), n, stride).reshape(B, H, nc * c, n)[:, :, :N]
+    W = _put_band(np.zeros((B, H, nc, c, c + h)), a, stride)
+    dV = _overlap_add(np.matmul(_swap(W), dc), h, N)
+    ds = softmax_rows_backward(a, da)
+    ds /= tau
+    _put_band(W, ds, stride)  # the same band: W now holds ds
+    dQ = np.matmul(W, Kw).reshape(B, H, nc * c, dh)[:, :, :N]
+    dK = _overlap_add(np.matmul(_swap(W), Qc), h, N)
     return dQ, dK, dV
 
 
@@ -619,7 +683,8 @@ def mha_backward(tape: GradTape, d_out):
     elif family == "queue":
         dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, config.control.stride, tau)
     elif family == "additive":
-        dQ, dK, dV, dA = _additive_causal_backward(dout_h, Q, K, V, cache, ar["normalize"], tau)
+        dQ, dK, dV, dA = _additive_causal_backward(
+            dout_h, Q, K, V, cache, ar["normalize"], tau, ar["sw"] is not None)
     else:
         dQ, dK, dV, dA = _oneshot_backward(dout_h, Q, K, V, cache, tau)
         if "total" in ar:  # learned control, phi = alpha / total over the sequence
@@ -818,8 +883,9 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
             _, alpha = _mlp_alpha(control, x, params.strategy_weights)
         else:
             alpha = np.broadcast_to(st.phi_at(control, t, params.strategy_weights), (B, n))
-        kt += np.einsum("bn,bhd->bhnd", alpha, k, optimize=True)
-        vt += np.einsum("bn,bhd->bhnd", alpha, v, optimize=True)
+        w = alpha[:, None, :, None]
+        kt += w * k[:, :, None, :]
+        vt += w * v[:, :, None, :]
         state.norm += np.abs(alpha)[:, None, :]
         state.t = t + 1
         if learned:
@@ -827,11 +893,11 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
                 raise NumericError("prefix normalizer hit zero")
             kt = kt / state.norm[..., None]
             vt = vt / state.norm[..., None]
-    s = np.einsum("bhnd,bhd->bhn", kt, q, optimize=True) / tau
+    s = np.matmul(kt, q[..., None])[..., 0] / tau
     if state.norm is not None and not learned:
         # constant controls read only written slots, once any slot is written
         written = state.norm > 0.0
         s = np.where(written | ~written.any(axis=-1, keepdims=True), s, -np.inf)
     a = softmax_rows(s)
-    out = np.einsum("bhn,bhnd->bhd", a, vt, optimize=True)
+    out = np.matmul(a[:, :, None, :], vt)[:, :, 0, :]
     return out.reshape(B, H * dh) @ params.wo

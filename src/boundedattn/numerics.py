@@ -71,14 +71,18 @@ def softmax(v: np.ndarray) -> np.ndarray:
 def softmax_rows(m: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax for 2-D (or batched N-D) input."""
     m = np.asarray(m, dtype=np.float64)
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = m - m.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def softmax_rows_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
     """Gradient of row-wise softmax given its output ``a`` and upstream ``da``."""
     inner = np.sum(a * da, axis=-1, keepdims=True)
-    return a * (da - inner)
+    d = da - inner
+    d *= a
+    return d
 
 
 def finite_diff_grad(

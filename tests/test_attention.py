@@ -86,14 +86,15 @@ def test_causal_batch_equals_streaming(kind, extra):
 
 
 CHUNK = att._CHUNK
-MULTI_CHUNK_LENGTHS = (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5)
+# several chunks of the causal kernels, the last ragged
+MULTI_CHUNK_LENGTHS = (127, 128, 129, 261)
 MULTI_CHUNK = [
     ("mlp", {}),
     ("mlp", {"activation": "sigmoid"}),
-    ("linformer", {"max_len": 2 * CHUNK + 5}),
-    ("random", {"seed": 11, "max_len": 2 * CHUNK + 5}),
+    ("linformer", {"max_len": 261}),
+    ("random", {"seed": 11, "max_len": 261}),
     ("compressive", {"ratio": 70}),  # 4 slots reach 280 tokens
-    # slot 2 is first written in the second chunk, slot 3 never
+    # slot 2 is first written in a later chunk, slot 3 never
     ("local_to_global", {"global_positions": (0, 2, CHUNK + 20)}),
     ("window", {}),
     ("dilated", {}),
@@ -103,9 +104,24 @@ MULTI_CHUNK = [
 @pytest.mark.parametrize("N", MULTI_CHUNK_LENGTHS)
 @pytest.mark.parametrize("kind,extra", MULTI_CHUNK)
 def test_multi_chunk_causal_batch_equals_streaming(kind, extra, N):
-    # the additive training kernels split time into chunks; the recurrence
+    # the causal training kernels split time into chunks; the recurrence
     # they must agree with knows none
     c = cfg(site="causal", kind=kind, n=4, d_model=8, **extra)
+    assert _batch_minus_stream(c, N) <= 1e-10
+
+
+@pytest.mark.parametrize("N", (CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 5))
+@pytest.mark.parametrize("kind,n", [
+    ("window", 4),
+    ("dilated", 4),
+    # the queue reaches back h = stride*(n-1) > CHUNK steps: a block's key
+    # window spans more than the block before it, and at N < h every step
+    # still holds some zero pairs
+    ("window", CHUNK + 2),
+    ("dilated", CHUNK // 2 + 2),
+])
+def test_queue_block_boundaries_batch_equals_streaming(kind, n, N):
+    c = cfg(site="causal", kind=kind, n=n, d_model=8)
     assert _batch_minus_stream(c, N) <= 1e-10
 
 
@@ -401,6 +417,8 @@ def _gradcheck(site, kind, extra, N):
     ("mlp", {}),
     ("linformer", {"max_len": 2 * CHUNK + 5}),
     ("dilated", {}),
+    ("window", {"n": CHUNK + 2}),  # h > CHUNK: windows overlap-add over 3 blocks
+    ("dilated", {"n": CHUNK // 2 + 2}),
 ])
 def test_three_chunk_backward_matches_directional_derivatives(kind, extra):
     # three chunks: a chunk's writes reach every later chunk, so the carried
@@ -408,7 +426,7 @@ def test_three_chunk_backward_matches_directional_derivatives(kind, extra):
     # per input keeps this to two forwards each
     rng = make_rng(78)
     N, d, h = 2 * CHUNK + 5, 8, 1e-6
-    c = cfg(site="causal", kind=kind, n=3, d_model=d, **extra)
+    c = cfg(site="causal", kind=kind, d_model=d, **{"n": 3, **extra})
     p = make_params(c, seed=21)
     X, R = rng.normal(size=(N, d)), rng.normal(size=(N, d))
     _, tape, _ = att.mha_forward(X, None, p, c)
