@@ -17,6 +17,12 @@ Drop-in replacement for softmax multihead attention at three sites:
 * ``cross``        -- decoder queries over a memory built once from the
   encoder output and cached in the decoder state for all decode steps.
 
+Every dense weight is stored C-contiguous as (d_out, d_in) and applied as
+``x @ W.T``, as the strategy weights are; its gradient is
+``fold_outer(dY, X)`` and the input gradient ``dY @ W``.  A decode step
+multiplies a few rows (the batch) by each weight, so it is bound by reading
+the weights, and this product reads W row by row in its storage order.
+
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
 across heads; each head keeps its own (n x d_head) slot matrices.  The
@@ -136,7 +142,11 @@ class AttentionConfig:
 
 @dataclass
 class LayerParams:
-    """Projections plus (optionally shared) strategy weights."""
+    """Projections plus (optionally shared) strategy weights.
+
+    Each projection is C-contiguous (d_out, d_in), here (d_model, d_model),
+    and maps x to ``x @ w.T``.
+    """
 
     wq: np.ndarray
     wk: np.ndarray
@@ -160,14 +170,23 @@ class GradTape:
         return self.arrays
 
 
+def draw_weight(
+    rng: np.random.Generator, d_in: int, d_out: int, std: float | None = None
+) -> np.ndarray:
+    """A (d_out, d_in) dense weight, N(0, std^2) with std 1/sqrt(d_in) by
+    default: the draws of a (d_in, d_out) matrix stored transposed, so a seed
+    gives the same model in either layout."""
+    std = 1.0 / math.sqrt(d_in) if std is None else std
+    return np.ascontiguousarray(rng.normal(0.0, std, (d_in, d_out)).T)
+
+
 def init_layer_params(config: AttentionConfig, rng: np.random.Generator) -> LayerParams:
     d = config.d_model
-    scale = 1.0 / math.sqrt(d)
     return LayerParams(
-        wq=rng.normal(0.0, scale, (d, d)),
-        wk=rng.normal(0.0, scale, (d, d)),
-        wv=rng.normal(0.0, scale, (d, d)),
-        wo=rng.normal(0.0, scale, (d, d)),
+        wq=draw_weight(rng, d, d),
+        wk=draw_weight(rng, d, d),
+        wv=draw_weight(rng, d, d),
+        wo=draw_weight(rng, d, d),
         strategy_weights=init_strategy_weights(config, rng),
     )
 
@@ -613,9 +632,9 @@ def mha_forward(
     H, tau = config.heads, config.tau
     B, N, _ = Xq.shape
 
-    Q = _split_heads(Xq @ params.wq, H)
-    K = _split_heads(Xkv @ params.wk, H)
-    V = _split_heads(Xkv @ params.wv, H)
+    Q = _split_heads(Xq @ params.wq.T, H)
+    K = _split_heads(Xkv @ params.wk.T, H)
+    V = _split_heads(Xkv @ params.wv.T, H)
 
     control = config.control
     tape = GradTape(config=config)
@@ -650,7 +669,7 @@ def mha_forward(
 
     ar["cache"] = cache
     O = _merge_heads(out)
-    Y = O @ params.wo
+    Y = O @ params.wo.T
     ar["O"] = O
     check_finite(Y, "attention output")
     return (Y[0] if squeeze else Y), tape, None
@@ -672,8 +691,8 @@ def mha_backward(tape: GradTape, d_out):
     H, tau = config.heads, config.tau
     cache = ar["cache"]
 
-    dwo = fold_outer(O, d_out)
-    dO = d_out @ ar["wo"].T
+    dwo = fold_outer(d_out, O)
+    dO = d_out @ ar["wo"]
     dout_h = _split_heads(dO, H)
 
     dA = None
@@ -697,13 +716,13 @@ def mha_backward(tape: GradTape, d_out):
     dKf = _merge_heads(dK)
     dVf = _merge_heads(dV)
     grads = {
-        "wq": fold_outer(Xq, dQf),
-        "wk": fold_outer(Xkv, dKf),
-        "wv": fold_outer(Xkv, dVf),
+        "wq": fold_outer(dQf, Xq),
+        "wk": fold_outer(dKf, Xkv),
+        "wv": fold_outer(dVf, Xkv),
         "wo": dwo,
     }
-    dXq = dQf @ ar["wq"].T
-    dXkv = dKf @ ar["wk"].T + dVf @ ar["wv"].T
+    dXq = dQf @ ar["wq"]
+    dXkv = dKf @ ar["wk"] + dVf @ ar["wv"]
 
     if "Z" in ar:  # learned control, alpha = act(x W_phi^T)
         Z, alpha = ar["Z"], ar["alpha"]
@@ -800,8 +819,8 @@ def init_attn_state(
         if encoder_out is None:
             raise ValueError("cross attention state needs the encoder output")
         enc, _ = _batched(encoder_out)
-        K = _split_heads(enc @ params.wk, H)
-        V = _split_heads(enc @ params.wv, H)
+        K = _split_heads(enc @ params.wk.T, H)
+        V = _split_heads(enc @ params.wv.T, H)
         if control is None:
             return AttnState(config=config, kcache=K, vcache=V, t=K.shape[2], static=True)
         phi = _sequence_phi(config, params, enc, K, {})
@@ -846,10 +865,10 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     control = config.control
     t = state.t
 
-    q = (x @ params.wq).reshape(B, H, dh)
+    q = (x @ params.wq.T).reshape(B, H, dh)
     if not state.static:
-        k = (x @ params.wk).reshape(B, H, dh)
-        v = (x @ params.wv).reshape(B, H, dh)
+        k = (x @ params.wk.T).reshape(B, H, dh)
+        v = (x @ params.wv.T).reshape(B, H, dh)
 
     if control is None:
         if state.static:
@@ -866,8 +885,11 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
         s = np.matmul(kc, q[..., None])[..., 0] / tau
         a = softmax_rows(s)
         out = np.matmul(a[:, :, None, :], vc)[:, :, 0, :]
-        return out.reshape(B, H * dh) @ params.wo
+        return out.reshape(B, H * dh) @ params.wo.T
 
+    # the learned control reads the memory divided by its running normalizer:
+    # the scores and the readout weights are divided, not the slot matrices
+    norm = None
     learned = isinstance(control, st.MlpControl)
     kt, vt = state.ktilde, state.vtilde
     if not state.static and control.stride:
@@ -891,13 +913,15 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
         if learned:
             if np.any(state.norm <= 0.0):
                 raise NumericError("prefix normalizer hit zero")
-            kt = kt / state.norm[..., None]
-            vt = vt / state.norm[..., None]
-    s = np.matmul(kt, q[..., None])[..., 0] / tau
+            norm = state.norm
+    s = np.matmul(kt, q[..., None])[..., 0]
+    s /= tau if norm is None else norm * tau
     if state.norm is not None and not learned:
         # constant controls read only written slots, once any slot is written
         written = state.norm > 0.0
         s = np.where(written | ~written.any(axis=-1, keepdims=True), s, -np.inf)
     a = softmax_rows(s)
+    if norm is not None:
+        a /= norm
     out = np.matmul(a[:, :, None, :], vt)[:, :, 0, :]
-    return out.reshape(B, H * dh) @ params.wo
+    return out.reshape(B, H * dh) @ params.wo.T

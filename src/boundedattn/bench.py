@@ -14,6 +14,7 @@ setup is excluded, and the leading warmup tokens of every run are untimed.
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
 
@@ -22,7 +23,7 @@ import numpy as np
 from .attention import StrategySpec
 from .toymodel import BOS, SiteSpec, ToyLM, ToyModelConfig
 
-CSV_HEADER = "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s"
+CSV_HEADER = "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s,failure"
 
 BENCH_STRATEGIES = ("softmax", "mlp", "window", "linformer", "random", "compressive")
 
@@ -65,7 +66,11 @@ class BenchRecord:
     latency_p90_s: float
     state_bytes: int
     wall_s: float
-    failed: bool = False
+    failure: str = ""  # "ExceptionType: message" of a cell that failed, else empty
+
+    @property
+    def failed(self) -> bool:
+        return bool(self.failure)
 
     def __post_init__(self):
         if not self.failed:
@@ -124,7 +129,7 @@ def run_decode_bench(spec: BenchSpec, progress=None) -> list[BenchRecord]:
     """One record per (strategy, n, N), in that deterministic order.
 
     A cell that fails (overflow, NaN logits, out-of-memory) is recorded with
-    failed=True and the sweep continues.
+    its exception type and message in ``failure`` and the sweep continues.
     """
     records = []
     for strategy in spec.strategies:
@@ -153,10 +158,11 @@ def run_decode_bench(spec: BenchSpec, progress=None) -> list[BenchRecord]:
                             wall_s=wall,
                         )
                     )
-                except (MemoryError, FloatingPointError, ArithmeticError, ValueError):
-                    records.append(
-                        BenchRecord(strategy, length, n, spec.batch, 0.0, 0.0, 0, 0.0, failed=True)
-                    )
+                except (MemoryError, FloatingPointError, ArithmeticError, ValueError) as e:
+                    records.append(BenchRecord(
+                        strategy, length, n, spec.batch, 0.0, 0.0, 0, 0.0,
+                        failure=f"{type(e).__name__}: {e}",
+                    ))
     return records
 
 
@@ -198,27 +204,29 @@ def run_memory_audit(model: ToyLM, length: int) -> int:
 
 
 def emit_csv(records: list[BenchRecord], path) -> None:
-    """Write records (header above, one row each); refuses an empty list."""
+    """Write records (header above, one row each); refuses an empty list.
+
+    Floats are written as ``repr``; a failure text with commas, quotes or
+    newlines is quoted, so :func:`read_csv` reads every field back exactly.
+    """
     if not records:
         raise ValueError("no records to write")
-    with open(path, "w", encoding="utf-8") as f:
+    with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(CSV_HEADER + "\n")
+        w = csv.writer(f, lineterminator="\n")
         for r in records:
-            f.write(
-                f"{r.strategy},{r.N},{r.n},{r.batch},"
-                f"{r.latency_median_s!r},{r.latency_p90_s!r},{r.state_bytes},{r.wall_s!r}\n"
-            )
+            w.writerow([r.strategy, r.N, r.n, r.batch, repr(r.latency_median_s),
+                        repr(r.latency_p90_s), r.state_bytes, repr(r.wall_s), r.failure])
 
 
 def read_csv(path) -> list[BenchRecord]:
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         header = f.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
         out = []
-        for line in f:
-            s, N, n, batch, med, p90, sb, wall = line.strip().split(",")
-            out.append(
-                BenchRecord(s, int(N), int(n), int(batch), float(med), float(p90), int(sb), float(wall))
-            )
+        for s, N, n, batch, med, p90, sb, wall, failure in csv.reader(f):
+            out.append(BenchRecord(
+                s, int(N), int(n), int(batch), float(med), float(p90), int(sb), float(wall), failure
+            ))
     return out

@@ -254,7 +254,10 @@ def cmd_bench(cfg) -> int:
             + (" FAILED" if r.failed else "")
         )
     print(f"wrote {out}")
-    return 0
+    failed = [r for r in records if r.failed]
+    for r in failed:
+        print(f"{r.strategy} n={r.n} N={r.N} failed: {r.failure}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_train(cfg) -> int:

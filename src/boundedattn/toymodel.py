@@ -1,14 +1,16 @@
 """Desk-scale transformer LM and seq2seq built on the bounded-memory attention.
 
 Pre-norm blocks, ReLU feed-forward, learned token and position embeddings,
-no biases outside layer norms.  One block implementation, ``_Stack``, holds
-the batch forward, the backward and the streaming decode step for any
-ordered list of attention sites; the LM decoder, the seq2seq encoder and the
-seq2seq decoder are three instances of it.  The models add only the
-embeddings and the logits head.  Parameters live in one flat name -> array
-dict (every array 2-D), which keeps the optimizer, the gradient checks and
-the checkpoint container uniform.  The backward pass is the same manual
-chain style as the attention module.
+no biases outside layer norms.  Every dense weight (the attention
+projections, the FFN and the logits head) is stored C-contiguous as
+(d_out, d_in) and applied as ``x @ w.T``.  One block implementation,
+``_Stack``, holds the batch forward, the backward and the streaming decode
+step for any ordered list of attention sites; the LM decoder, the seq2seq
+encoder and the seq2seq decoder are three instances of it.  The models add
+only the embeddings and the logits head.  Parameters live in one flat
+name -> array dict (every array 2-D), which keeps the optimizer, the
+gradient checks and the checkpoint container uniform.  The backward pass is
+the same manual chain style as the attention module.
 
 Training tasks are synthetic (copy, reverse) or a character LM over a plain
 UTF-8 corpus.  Sequences reserve token 0 as BOS and token 1 as the separator;
@@ -27,6 +29,7 @@ from .attention import (
     AttnState,
     LayerParams,
     StrategySpec,
+    draw_weight,
     fold_outer,
     init_attn_state,
     init_strategy_weights,
@@ -111,10 +114,15 @@ def _ln_params(params, name, d):
     params[f"{name}.b"] = np.zeros((1, d))
 
 
+def _feature_mean(x):
+    """x.mean(axis=-1, keepdims=True), bit for bit: the same sum and divide
+    without ndarray.mean's Python wrapper, which decode pays per layer norm."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xc = x - _feature_mean(x)
+    var = _feature_mean(xc * xc)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
@@ -128,25 +136,25 @@ def layer_norm_backward(dy, cache):
     db = dy.sum(axis=axes).reshape(1, -1)
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - _feature_mean(dxhat)
+        - xhat * _feature_mean(dxhat * xhat)
     )
     return dx, dg, db
 
 
 def ffn_forward(h, w1, w2):
-    z = h @ w1
+    z = h @ w1.T
     r = np.maximum(z, 0.0)
-    return r @ w2, (h, z, r)
+    return r @ w2.T, (h, z, r)
 
 
 def ffn_backward(df, cache, w1, w2):
     h, z, r = cache
-    dw2 = fold_outer(r, df)
-    dr = df @ w2.T
+    dw2 = fold_outer(df, r)
+    dr = df @ w2
     dz = dr * (z > 0.0)
-    dw1 = fold_outer(h, dz)
-    return dz @ w1.T, dw1, dw2
+    dw1 = fold_outer(dz, h)
+    return dz @ w1, dw1, dw2
 
 
 # --- the transformer block stack ---------------------------------------------------
@@ -168,6 +176,8 @@ class DecoderState:
 
 
 _PROJ = ("wq", "wk", "wv", "wo")
+# the name endings of every dense weight, the arrays stored (d_out, d_in)
+_DENSE = tuple(f".{w}" for w in _PROJ) + (".ffn.w1", ".ffn.w2", "out_w")
 _SITE_LN = {"attn": "ln1", "cross": "ln_cross"}  # the pre-norm in front of each site
 
 
@@ -201,20 +211,19 @@ class _Stack:
 
     def init_params(self, params, rng):
         d, mult = self.d_model, self.ffn_mult
-        scale = 1.0 / np.sqrt(d)
         for i in range(self.layers):
             base = f"{self.prefix}{i}"
             _ln_params(params, f"{base}.ln1", d)
             for name, _ in self.sites:
                 for w in _PROJ:
-                    params[f"{base}.{name}.{w}"] = rng.normal(0.0, scale, (d, d))
+                    params[f"{base}.{name}.{w}"] = draw_weight(rng, d, d)
             # later sites' norms follow all projections: the dict order fixes
             # the summation order of the gradient norm in adam_update
             for name, _ in self.sites[1:]:
                 _ln_params(params, f"{base}.{_SITE_LN[name]}", d)
             _ln_params(params, f"{base}.ln2", d)
-            params[f"{base}.ffn.w1"] = rng.normal(0.0, scale, (d, mult * d))
-            params[f"{base}.ffn.w2"] = rng.normal(0.0, 1.0 / np.sqrt(mult * d), (mult * d, d))
+            params[f"{base}.ffn.w1"] = draw_weight(rng, d, mult * d)
+            params[f"{base}.ffn.w2"] = draw_weight(rng, mult * d, d)
         _ln_params(params, self.final_ln, d)
 
     def init_strategy_params(self, params, rng):
@@ -330,7 +339,7 @@ class _Model:
         params["pos_emb"] = rng.normal(0.0, 0.02, (config.max_positions, d))
         for stack in stacks:
             stack.init_params(params, rng)
-        params["out_w"] = rng.normal(0.0, 0.02, (d, config.vocab))
+        params["out_w"] = draw_weight(rng, d, config.vocab, 0.02)
         for stack in stacks:
             stack.init_strategy_params(params, rng)
         self.params = params
@@ -372,8 +381,8 @@ class _Model:
     def _head_backward(self, xf, dlogits):
         """Fresh gradient dict holding the head's gradients, and d(xf)."""
         grads = self.zero_grads()
-        grads["out_w"] = fold_outer(xf, dlogits)
-        return grads, dlogits @ self.params["out_w"].T
+        grads["out_w"] = fold_outer(dlogits, xf)
+        return grads, dlogits @ self.params["out_w"]
 
 
 # --- the decoder-only language model -------------------------------------------------
@@ -391,7 +400,7 @@ class ToyLM(_Model):
         tokens, x = self._embed(tokens)
         xf, tape = self.stack.forward(self.params, x)
         tape.update(tokens=tokens, xf=xf)
-        return check_finite(xf @ self.params["out_w"], "logits"), tape
+        return check_finite(xf @ self.params["out_w"].T, "logits"), tape
 
     def backward(self, tape, dlogits) -> dict[str, np.ndarray]:
         grads, dxf = self._head_backward(tape["xf"], dlogits)
@@ -408,7 +417,7 @@ class ToyLM(_Model):
         x = self._embed_step(tokens_t, state.pos)
         xf = self.stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ self.params["out_w"]
+        return xf @ self.params["out_w"].T
 
 
 # --- loss -----------------------------------------------------------------------
@@ -556,6 +565,18 @@ def adam_init(model) -> AdamState:
     )
 
 
+def _square_sum(name, g) -> float:
+    """sum(g * g), a dense weight's added in (d_in, d_out) order.
+
+    That is the order of the input-major layout the dense weights had until
+    they were stored (d_out, d_in).  Summing in it keeps the clip norm, and
+    so every clipped step of training, bitwise what it was in that layout.
+    """
+    if name.endswith(_DENSE):
+        g = np.ascontiguousarray(g.T)
+    return float((g * g).sum())
+
+
 def adam_update(model, grads, opt: AdamState):
     cfg = model.config
     opt.t += 1
@@ -563,7 +584,7 @@ def adam_update(model, grads, opt: AdamState):
     if cfg.warmup_steps > 0:
         lr *= min(1.0, opt.t / cfg.warmup_steps)
     if cfg.clip_norm > 0:
-        norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = np.sqrt(sum(_square_sum(k, g) for k, g in grads.items()))
         if norm > cfg.clip_norm:
             scale = cfg.clip_norm / norm
             grads = {k: g * scale for k, g in grads.items()}
@@ -696,7 +717,7 @@ class ToySeq2Seq(_Model):
         tgt, x = self._embed(tgt)
         xf, tape = self.dec_stack.forward(self.params, x, enc_out)
         tape.update(enc=enc_tape, tokens=tgt, xf=xf)
-        return check_finite(xf @ self.params["out_w"], "logits"), tape
+        return check_finite(xf @ self.params["out_w"].T, "logits"), tape
 
     def backward(self, tape, dlogits):
         grads, dxf = self._head_backward(tape["xf"], dlogits)
@@ -717,7 +738,7 @@ class ToySeq2Seq(_Model):
         x = self._embed_step(tokens_t, state.pos)
         xf = self.dec_stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ self.params["out_w"]
+        return xf @ self.params["out_w"].T
 
     def greedy_decode(self, src, max_len: int):
         src = np.asarray(src)

@@ -167,6 +167,27 @@ def test_random_slots_are_drawn_once_across_decode_steps(monkeypatch):
     assert len(built) <= 1
 
 
+def test_learned_decode_step_does_not_copy_the_slot_memory():
+    # the running normalizer divides the scores and readout weights; a step
+    # that built ktilde / norm and vtilde / norm would hold two more memories
+    import tracemalloc
+
+    B, d, H, n = 4, 256, 4, 32
+    c = cfg(site="causal", kind="mlp", n=n, d_model=d, heads=H)
+    p = make_params(c, seed=5)
+    state = att.init_attn_state(c, p, batch=B, capacity=4)
+    X = make_rng(45).normal(size=(3, B, d))
+    for x in X[:2]:
+        att.stream_step(x, p, c, state)
+    tracemalloc.start()
+    try:
+        att.stream_step(X[2], p, c, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * state.ktilde.nbytes
+
+
 # --- causality -------------------------------------------------------------------
 
 
@@ -196,8 +217,8 @@ def test_future_perturbation_leaves_prefix_unchanged(kind, extra):
 
 
 def test_head_independence():
-    # zeroing one head's value projection slice changes only that head's
-    # slice of the concatenated output (checked with identity Wo)
+    # zeroing one head's rows of the value projection changes only that
+    # head's slice of the concatenated output (checked with identity Wo)
     rng = make_rng(8)
     N, d, heads = 6, 8, 2
     X = rng.normal(size=(N, d))
@@ -206,7 +227,7 @@ def test_head_independence():
     p.wo = np.eye(d)
     y0, _, _ = att.mha_forward(X, None, p, c)
     p.wv = p.wv.copy()
-    p.wv[:, : d // heads] = 0.0  # head 0's value columns
+    p.wv[: d // heads] = 0.0  # head 0's value rows
     y1, _, _ = att.mha_forward(X, None, p, c)
     dh = d // heads
     assert np.abs(y1[:, :dh]).max() <= 1e-12 or np.abs(y0[:, :dh] - y1[:, :dh]).max() > 0
@@ -259,8 +280,8 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
     p = make_params(c, seed=6)
     y, _, _ = att.mha_forward(X, None, p, c)
     phi = softmax(X @ p.strategy_weights[0])
-    vtilde = phi @ (X @ p.wv)
-    np.testing.assert_allclose(y, np.tile(vtilde @ p.wo, (N, 1)), atol=1e-12)
+    vtilde = phi @ (X @ p.wv.T)
+    np.testing.assert_allclose(y, np.tile(vtilde @ p.wo.T, (N, 1)), atol=1e-12)
 
 
 # --- equivalence with the memory-level ops ----------------------------------------
@@ -279,9 +300,9 @@ def test_causal_mlp_matches_memory_level_normalized_readout():
     from boundedattn.strategies import phi_mlp_prefix
 
     H, dh = c.heads, c.d_head
-    Q = (X @ p.wq).reshape(N, H, dh)
-    K = (X @ p.wk).reshape(N, H, dh)
-    V = (X @ p.wv).reshape(N, H, dh)
+    Q = (X @ p.wq.T).reshape(N, H, dh)
+    K = (X @ p.wk.T).reshape(N, H, dh)
+    V = (X @ p.wv.T).reshape(N, H, dh)
     out = np.zeros((N, H, dh))
     for h in range(H):
         state = zero_memory(n, dh, with_norm=True)
@@ -292,7 +313,7 @@ def test_causal_mlp_matches_memory_level_normalized_readout():
             from boundedattn.memory import readout_normalized
 
             out[t, h] = readout_normalized(Q[t, h], state, temperature=1.0)
-    want = out.reshape(N, d) @ p.wo
+    want = out.reshape(N, d) @ p.wo.T
     assert np.abs(y - want).max() <= 1e-10
 
 
@@ -304,15 +325,15 @@ def test_causal_window_matches_direct_window_attention():
     p = make_params(c, seed=13)
     y, _, _ = att.mha_forward(X, None, p, c)
     H, dh = c.heads, c.d_head
-    Q = (X @ p.wq).reshape(N, H, dh)
-    K = (X @ p.wk).reshape(N, H, dh)
-    V = (X @ p.wv).reshape(N, H, dh)
+    Q = (X @ p.wq.T).reshape(N, H, dh)
+    K = (X @ p.wk.T).reshape(N, H, dh)
+    V = (X @ p.wv.T).reshape(N, H, dh)
     for t in range(n - 1, N):  # full windows only
         window = list(range(t - n + 1, t + 1))
         out_t = np.stack(
             [full_attention(Q[t, h], K[window, h], V[window, h]) for h in range(H)]
         ).reshape(d)
-        assert np.abs(y[t] - out_t @ p.wo).max() <= 1e-10
+        assert np.abs(y[t] - out_t @ p.wo.T).max() <= 1e-10
 
 
 # --- gradients ---------------------------------------------------------------------

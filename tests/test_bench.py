@@ -106,13 +106,32 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "bench.csv"
     bm.emit_csv(records, path)
     header = path.read_text().splitlines()[0]
-    assert header == "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s"
+    assert header == "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s,failure"
     back = bm.read_csv(path)
     assert len(back) == len(records)
     for a, b in zip(records, back):
         assert (a.strategy, a.N, a.n, a.batch, a.state_bytes) == (b.strategy, b.N, b.n, b.batch, b.state_bytes)
         assert a.latency_median_s == b.latency_median_s  # repr round-trip is exact
         assert a.wall_s == b.wall_s
+        assert (a.failed, a.failure) == (b.failed, b.failure) == (False, "")
+
+
+def test_failed_cell_keeps_its_cause_through_the_csv(tmp_path, monkeypatch):
+    real = bm._timed_decode
+
+    def timed(model, batch, N, warmup):
+        if N == 16:
+            raise ValueError('forced, with "quotes"\nand a second line')
+        return real(model, batch, N, warmup)
+
+    monkeypatch.setattr(bm, "_timed_decode", timed)
+    records = bm.run_decode_bench(small_spec())
+    assert [r.failed for r in records] == [False, True, False, True]
+    assert records[1].failure == 'ValueError: forced, with "quotes"\nand a second line'
+    path = tmp_path / "bench.csv"
+    bm.emit_csv(records, path)
+    back = bm.read_csv(path)
+    assert [(r.failed, r.failure) for r in back] == [(r.failed, r.failure) for r in records]
 
 
 def test_empty_records_rejected(tmp_path):

@@ -103,6 +103,25 @@ def test_decode_after_train(tmp_path, capsys):
     assert all(0 <= int(t) < 16 for t in tokens)
 
 
+def test_decode_refuses_a_checkpoint_in_the_old_input_major_layout(tmp_path, capsys):
+    # before the (d_out, d_in) weight layout, the default config's ffn.w1 was
+    # stored (64, 256) and out_w (64, 32): the shape check must refuse them
+    import copy
+
+    from boundedattn import checkpoint
+    from boundedattn import toymodel as tm
+    from boundedattn.cli import DEFAULTS, model_config_from
+
+    model = tm.ToyLM(model_config_from(copy.deepcopy(DEFAULTS)))
+    dense = (".wq", ".wk", ".wv", ".wo", ".ffn.w1", ".ffn.w2", "out_w")
+    old = {k: (v.T if k.endswith(dense) else v) for k, v in model.params.items()}
+    assert old["dec0.ffn.w1"].shape == (64, 256) and old["out_w"].shape == (64, 32)
+    ckpt = tmp_path / "old.bin"
+    checkpoint.save_arrays(ckpt, old)
+    assert run(["decode", "--ckpt", str(ckpt)]) == 2
+    assert "has shape (64, 256), model wants (256, 64)" in capsys.readouterr().err
+
+
 def test_bench_grid_row_count(tmp_path, capsys):
     cfg = {
         "out_dir": str(tmp_path / "b"),
@@ -131,6 +150,31 @@ def test_bench_flag_overrides(tmp_path):
     rows = (tmp_path / "b2" / "bench.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 1 * 2
     assert all(r.split(",")[0] in ("window", "softmax") for r in rows[1:])
+
+
+def test_bench_failed_cell_exits_one_with_its_cause(tmp_path, monkeypatch, capsys):
+    from boundedattn import bench as bm
+
+    real = bm._timed_decode
+
+    def timed(model, batch, N, warmup):
+        if N == 16:
+            raise ValueError("forced failure")
+        return real(model, batch, N, warmup)
+
+    monkeypatch.setattr(bm, "_timed_decode", timed)
+    cfg = {
+        "out_dir": str(tmp_path / "b3"),
+        "bench": {"strategies": ["mlp"], "lens": [8, 16], "n": [2], "batch": 2, "reps": 3,
+                  "warmup": 2, "layers": 1, "d_model": 16, "heads": 2, "ffn_mult": 2,
+                  "vocab": 16},
+    }
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["bench", "--config", str(path)]) == 1
+    assert "mlp n=2 N=16 failed: ValueError: forced failure" in capsys.readouterr().err
+    rows = (tmp_path / "b3" / "bench.csv").read_text().splitlines()
+    assert rows[1].endswith(",") and rows[2].endswith(",ValueError: forced failure")
 
 
 def test_diverging_training_exits_one(tmp_path, capsys):

@@ -242,6 +242,22 @@ def test_greedy_decode_streaming_matches_batch_recompute():
     np.testing.assert_array_equal(got, seq[:, 5:])
 
 
+def test_dense_weights_are_c_contiguous_d_out_by_d_in():
+    cfg = seq2seq_config()
+    d, f, vocab = cfg.d_model, cfg.ffn_mult * cfg.d_model, cfg.vocab
+    shapes = {".wq": (d, d), ".wk": (d, d), ".wv": (d, d), ".wo": (d, d),
+              ".ffn.w1": (f, d), ".ffn.w2": (d, f), "out_w": (vocab, d)}
+    assert set(tm._DENSE) == set(shapes)  # the clip norm's list of dense weights
+    # LM: 2 layers x (4 projections + 2 FFN) + head; seq2seq: encoder 2 x 6,
+    # decoder 2 x (8 projections + 2 FFN), head
+    for model, count in ((tm.ToyLM(cfg), 13), (tm.ToySeq2Seq(cfg), 33)):
+        dense = {k: v for k, v in model.params.items() if k.endswith(tuple(shapes))}
+        assert len(dense) == count
+        for k, v in dense.items():
+            want = next(shape for end, shape in shapes.items() if k.endswith(end))
+            assert v.shape == want and v.flags.c_contiguous, k
+
+
 def test_decoder_state_size_formula():
     cfg = lm_config(kind="mlp", n=5, d_model=16, heads=2, layers=3)
     model = tm.ToyLM(cfg)
