@@ -435,17 +435,19 @@ def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau, grad_A):
         later = _by_chunk(dg, B)[:, 1:]
         later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(cache["vmem"]))
         dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
+    # dg's buffer becomes da, then ds, then dC
     if normalize:
-        da = dg / S
-        dS = -np.sum(dg * g, axis=1, keepdims=True) / S  # g = a / S
-    else:
-        da = dg
-    ds = softmax_rows_backward(a, da)
+        t = dg * g  # scratch for dg * g, then ds * s
+        dS = -np.sum(t, axis=1, keepdims=True)
+        dS /= S  # g = a / S
+        dg /= S
+    softmax_rows_backward(a, dg, out=dg)
     if normalize:
-        dC = ds / (S * tau)
-        dS -= np.sum(ds * s, axis=1, keepdims=True) / S  # s = C / (S tau)
+        dS -= np.sum(np.multiply(dg, s, out=t), axis=1, keepdims=True) / S  # s = C / (S tau)
+        dg /= S * tau
     else:
-        dC = ds / tau
+        dg /= tau
+    dC = dg
     dP = np.matmul(dC.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
     dP *= mask
     if grad_A:

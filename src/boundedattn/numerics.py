@@ -77,10 +77,13 @@ def softmax_rows(m: np.ndarray) -> np.ndarray:
     return e
 
 
-def softmax_rows_backward(a: np.ndarray, da: np.ndarray) -> np.ndarray:
-    """Gradient of row-wise softmax given its output ``a`` and upstream ``da``."""
+def softmax_rows_backward(
+    a: np.ndarray, da: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Gradient of row-wise softmax given its output ``a`` and upstream ``da``;
+    written into ``out`` (which may be ``da``) when given."""
     inner = np.sum(a * da, axis=-1, keepdims=True)
-    d = da - inner
+    d = np.subtract(da, inner, out=out)
     d *= a
     return d
 

@@ -10,7 +10,9 @@ encoder and the seq2seq decoder are three instances of it.  The models add
 only the embeddings and the logits head.  Parameters live in one flat
 name -> array dict (every array 2-D), which keeps the optimizer, the
 gradient checks and the checkpoint container uniform.  The backward pass is
-the same manual chain style as the attention module.
+the same manual chain style as the attention module.  The tapes hold only
+what the backward reads: layer norm keeps (xhat, 1/std, g), the FFN keeps
+(h, r), its input and its ReLU output, whose sign is the ReLU's mask.
 
 Training tasks are synthetic (copy, reverse) or a character LM over a plain
 UTF-8 corpus.  Sequences reserve token 0 as BOS and token 1 as the separator;
@@ -120,39 +122,48 @@ def _feature_mean(x):
     return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
 
 
+# The layer norm, FFN and Adam chains below write into arrays they own
+# instead of allocating one temporary per operation.  Each keeps the
+# operations and their order of the plain expression, so the results are
+# bit for bit the same (tests/test_toymodel.py keeps the expression forms).
+
+
 def layer_norm_forward(x, g, b):
     xc = x - _feature_mean(x)
-    var = _feature_mean(xc * xc)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return g * xhat + b, (xhat, inv, g)
+    inv = 1.0 / np.sqrt(_feature_mean(xc * xc) + LN_EPS)
+    xc *= inv  # xhat
+    y = g * xc
+    y += b
+    return y, (xc, inv, g)
 
 
 def layer_norm_backward(dy, cache):
     xhat, inv, g = cache
-    dxhat = dy * g
     axes = tuple(range(dy.ndim - 1))
-    dg = (dy * xhat).sum(axis=axes).reshape(1, -1)
+    t = dy * xhat  # scratch: dy * xhat, then dxhat * xhat, then xhat * m2
+    dg = t.sum(axis=axes).reshape(1, -1)
     db = dy.sum(axis=axes).reshape(1, -1)
-    dx = inv * (
-        dxhat
-        - _feature_mean(dxhat)
-        - xhat * _feature_mean(dxhat * xhat)
-    )
-    return dx, dg, db
+    dxhat = dy * g
+    m1 = _feature_mean(dxhat)
+    m2 = _feature_mean(np.multiply(dxhat, xhat, out=t))
+    np.multiply(xhat, m2, out=t)
+    dxhat -= m1
+    dxhat -= t
+    dxhat *= inv  # dx
+    return dxhat, dg, db
 
 
 def ffn_forward(h, w1, w2):
-    z = h @ w1.T
-    r = np.maximum(z, 0.0)
-    return r @ w2.T, (h, z, r)
+    r = h @ w1.T
+    np.maximum(r, 0.0, out=r)
+    return r @ w2.T, (h, r)
 
 
 def ffn_backward(df, cache, w1, w2):
-    h, z, r = cache
+    h, r = cache
     dw2 = fold_outer(df, r)
-    dr = df @ w2
-    dz = dr * (z > 0.0)
+    dz = df @ w2
+    dz *= r > 0.0
     dw1 = fold_outer(dz, h)
     return dz @ w1, dw1, dw2
 
@@ -368,9 +379,21 @@ class _Model:
             raise ValueError("token id outside vocabulary")
         return tokens, self.params["tok_emb"][tokens] + self.params["pos_emb"][:N]
 
-    def _embed_backward(self, grads, tokens, dx):
-        grads["pos_emb"][: tokens.shape[1]] += dx.sum(axis=0)
-        np.add.at(grads["tok_emb"], tokens, dx)
+    def _embed_backward(self, grads, *pairs):
+        """Add the embedding gradients of (tokens, dx) pairs, in pair order.
+
+        The token rows go into the zero ``tok_emb`` gradient in one bincount
+        over the flat indices token * d + column.  It adds in row order from
+        zero, as ``np.add.at`` does, so the sums are bit for bit the same;
+        a second scatter into the non-zero result would round differently.
+        """
+        emb = grads["tok_emb"]
+        cols = np.arange(emb.shape[1])
+        for tokens, dx in pairs:
+            grads["pos_emb"][: tokens.shape[1]] += dx.sum(axis=0)
+        flat = np.concatenate([(t[..., None] * emb.shape[1] + cols).ravel() for t, _ in pairs])
+        dxs = np.concatenate([dx.ravel() for _, dx in pairs])
+        emb += np.bincount(flat, dxs, minlength=emb.size).reshape(emb.shape)
 
     def _embed_step(self, tokens_t, pos):
         if pos >= self.config.max_positions:
@@ -405,7 +428,7 @@ class ToyLM(_Model):
     def backward(self, tape, dlogits) -> dict[str, np.ndarray]:
         grads, dxf = self._head_backward(tape["xf"], dlogits)
         dx, _ = self.stack.backward(self.params, tape, dxf, grads)
-        self._embed_backward(grads, tape["tokens"], dx)
+        self._embed_backward(grads, (tape["tokens"], dx))
         return grads
 
     def init_state(self, batch: int, capacity: int | None = None) -> DecoderState:
@@ -558,7 +581,43 @@ class AdamState:
     t: int = 0
 
 
+# glibc mallopt parameters and the values a training process runs with
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's largest on 64-bit
+_TRIM_THRESHOLD = 1 << 30
+
+
+def _keep_heap_mapped() -> bool:
+    """Make glibc keep freed heap memory mapped; False if there is no mallopt.
+
+    A training step allocates and frees the same arrays every step.  With
+    glibc's defaults the backward's frees let it return the top of the heap
+    to the kernel at the end of each step, and the next step faults every
+    page back in: thousands of minor faults and about a tenth of a long
+    step's wall time.  Here arrays below 32 MiB come from the heap, and the
+    heap is trimmed only when 1 GiB of it lies free.  Both are needed:
+    setting any one malloc parameter also freezes glibc's dynamic mmap
+    threshold at 128 KiB, and alone each made the faults worse.  The policy
+    is process-wide: the process keeps its heap high-water mark until it
+    exits (``ru_maxrss`` already counts that mark).
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    # the trim threshold alone would do harm, so it follows a set mmap threshold
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
 def adam_init(model) -> AdamState:
+    """Zero moments for ``model``; also sets the process-wide heap policy of
+    ``_keep_heap_mapped``, since this is where training starts."""
+    _keep_heap_mapped()
     return AdamState(
         m={k: np.zeros_like(v) for k, v in model.params.items()},
         v={k: np.zeros_like(v) for k, v in model.params.items()},
@@ -578,23 +637,39 @@ def _square_sum(name, g) -> float:
 
 
 def adam_update(model, grads, opt: AdamState):
+    """One clipped Adam step.  It consumes ``grads``: the clip scales them in
+    place and each gradient's buffer then holds the step's denominator."""
     cfg = model.config
     opt.t += 1
     lr = cfg.lr
     if cfg.warmup_steps > 0:
         lr *= min(1.0, opt.t / cfg.warmup_steps)
+    scale = None
     if cfg.clip_norm > 0:
         norm = np.sqrt(sum(_square_sum(k, g) for k, g in grads.items()))
         if norm > cfg.clip_norm:
             scale = cfg.clip_norm / norm
-            grads = {k: g * scale for k, g in grads.items()}
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
     c1 = 1.0 - b1**opt.t
     c2 = 1.0 - b2**opt.t
     for k, g in grads.items():
-        opt.m[k] = b1 * opt.m[k] + (1.0 - b1) * g
-        opt.v[k] = b2 * opt.v[k] + (1.0 - b2) * (g * g)
-        model.params[k] -= lr * (opt.m[k] / c1) / (np.sqrt(opt.v[k] / c2) + eps)
+        if scale is not None:
+            g *= scale
+        m, v = opt.m[k], opt.v[k]
+        step = g * (1.0 - b1)
+        m *= b1
+        m += step  # b1 m + (1 - b1) g
+        np.multiply(g, g, out=step)
+        step *= 1.0 - b2
+        v *= b2
+        v += step  # b2 v + (1 - b2) g^2
+        np.divide(m, c1, out=step)
+        step *= lr
+        np.divide(v, c2, out=g)
+        np.sqrt(g, out=g)
+        g += eps
+        step /= g  # lr (m / c1) / (sqrt(v / c2) + eps)
+        model.params[k] -= step
 
 
 def train_step(model: ToyLM, tokens, mask, opt: AdamState):
@@ -722,10 +797,9 @@ class ToySeq2Seq(_Model):
     def backward(self, tape, dlogits):
         grads, dxf = self._head_backward(tape["xf"], dlogits)
         dx, d_enc = self.dec_stack.backward(self.params, tape, dxf, grads)
-        self._embed_backward(grads, tape["tokens"], dx)
         enc_tape = tape["enc"]
-        dx, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
-        self._embed_backward(grads, enc_tape["tokens"], dx)
+        dx_enc, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
+        self._embed_backward(grads, (tape["tokens"], dx), (enc_tape["tokens"], dx_enc))
         return grads
 
     def init_state(self, src) -> DecoderState:

@@ -382,3 +382,148 @@ def test_perplexity_of_untrained_model_is_near_vocab():
     sampler = tm.TaskSampler(tm.TaskSpec(kind="copy", min_len=8, max_len=8, vocab=32))
     ppl = tm.evaluate_perplexity(model, sampler, 4, make_rng(3))
     assert abs(ppl - 32.0) <= 0.05 * 32.0
+
+
+# --- the in-place chains against their expression forms ----------------------------
+#
+# layer norm, FFN and Adam write into arrays they own; these are the plain
+# expressions they replaced, kept as the reference the results must equal bit
+# for bit.
+
+
+def _ref_layer_norm_forward(x, g, b):
+    xc = x - tm._feature_mean(x)
+    var = tm._feature_mean(xc * xc)
+    inv = 1.0 / np.sqrt(var + tm.LN_EPS)
+    xhat = xc * inv
+    return g * xhat + b, (xhat, inv, g)
+
+
+def _ref_layer_norm_backward(dy, cache):
+    xhat, inv, g = cache
+    dxhat = dy * g
+    axes = tuple(range(dy.ndim - 1))
+    dg = (dy * xhat).sum(axis=axes).reshape(1, -1)
+    db = dy.sum(axis=axes).reshape(1, -1)
+    dx = inv * (dxhat - tm._feature_mean(dxhat) - xhat * tm._feature_mean(dxhat * xhat))
+    return dx, dg, db
+
+
+def _ref_ffn_forward(h, w1, w2):
+    z = h @ w1.T
+    r = np.maximum(z, 0.0)
+    return r @ w2.T, (h, z, r)
+
+
+def _ref_ffn_backward(df, cache, w1, w2):
+    h, z, r = cache
+    dw2 = tm.fold_outer(df, r)
+    dz = (df @ w2) * (z > 0.0)
+    return dz @ w1, tm.fold_outer(dz, h), dw2
+
+
+def _ref_adam_update(model, grads, opt):
+    cfg = model.config
+    opt.t += 1
+    lr = cfg.lr
+    if cfg.warmup_steps > 0:
+        lr *= min(1.0, opt.t / cfg.warmup_steps)
+    if cfg.clip_norm > 0:
+        norm = np.sqrt(sum(tm._square_sum(k, g) for k, g in grads.items()))
+        if norm > cfg.clip_norm:
+            scale = cfg.clip_norm / norm
+            grads = {k: g * scale for k, g in grads.items()}
+    b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
+    c1 = 1.0 - b1**opt.t
+    c2 = 1.0 - b2**opt.t
+    for k, g in grads.items():
+        opt.m[k] = b1 * opt.m[k] + (1.0 - b1) * g
+        opt.v[k] = b2 * opt.v[k] + (1.0 - b2) * (g * g)
+        model.params[k] -= lr * (opt.m[k] / c1) / (np.sqrt(opt.v[k] / c2) + eps)
+
+
+def _assert_all_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("shape", [(3, 37, 16), (4, 16)])  # training, decode
+def test_layer_norm_and_ffn_equal_their_expression_forms(shape):
+    rng = make_rng(21)
+    d, f = shape[-1], 3 * shape[-1]
+    x = rng.normal(0.0, 2.0, shape) + 0.5
+    g, b = rng.normal(1.0, 0.3, (1, d)), rng.normal(0.0, 0.3, (1, d))
+    w1, w2 = rng.normal(0.0, 0.3, (f, d)), rng.normal(0.0, 0.3, (d, f))
+    dy = rng.normal(size=shape)
+
+    y, cache = tm.layer_norm_forward(x, g, b)
+    y_ref, cache_ref = _ref_layer_norm_forward(x, g, b)
+    _assert_all_equal((y, *cache), (y_ref, *cache_ref))
+    _assert_all_equal(tm.layer_norm_backward(dy, cache), _ref_layer_norm_backward(dy, cache_ref))
+
+    out, fcache = tm.ffn_forward(y, w1, w2)
+    out_ref, (h, z, r) = _ref_ffn_forward(y, w1, w2)
+    assert np.array_equal(out, out_ref)
+    _assert_all_equal(fcache, (h, r))  # the tape drops the pre-activation
+    assert (z <= 0.0).any()  # the relu mask is exercised
+    _assert_all_equal(tm.ffn_backward(dy, fcache, w1, w2), _ref_ffn_backward(dy, (h, z, r), w1, w2))
+
+
+def test_adam_update_equals_its_expression_form_with_clipping():
+    cfg = lm_config(kind="mlp", n=3, clip_norm=0.5, warmup_steps=2)
+    model, ref = tm.ToyLM(cfg), tm.ToyLM(cfg)
+    opt, opt_ref = tm.adam_init(model), tm.adam_init(ref)
+    rng = make_rng(4)
+    for _ in range(3):
+        grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+        norm = np.sqrt(sum(tm._square_sum(k, g) for k, g in grads.items()))
+        assert norm > cfg.clip_norm  # the clip scales every step
+        _ref_adam_update(ref, {k: g.copy() for k, g in grads.items()}, opt_ref)
+        tm.adam_update(model, grads, opt)
+    for k in model.params:
+        assert np.array_equal(model.params[k], ref.params[k]), k
+        assert np.array_equal(opt.m[k], opt_ref.m[k]), k
+        assert np.array_equal(opt.v[k], opt_ref.v[k]), k
+
+
+def test_embedding_scatter_equals_add_at():
+    rng = make_rng(5)
+    lm, s2s = tm.ToyLM(lm_config(kind="mlp", n=3)), tm.ToySeq2Seq(seq2seq_config())
+    d = lm.config.d_model
+    # few symbols, so every embedding row collects many repeated additions
+    dec, enc = rng.integers(0, 4, size=(3, 9)), rng.integers(0, 4, size=(3, 6))
+    ddec, denc = rng.normal(size=dec.shape + (d,)), rng.normal(size=enc.shape + (d,))
+    for model, pairs in ((lm, [(dec, ddec)]), (s2s, [(dec, ddec), (enc, denc)])):
+        grads = model.zero_grads()
+        model._embed_backward(grads, *pairs)
+        tok, pos = np.zeros_like(grads["tok_emb"]), np.zeros_like(grads["pos_emb"])
+        for tokens, dx in pairs:
+            np.add.at(tok, tokens, dx)
+            pos[: tokens.shape[1]] += dx.sum(axis=0)
+        assert np.array_equal(grads["tok_emb"], tok)
+        assert np.array_equal(grads["pos_emb"], pos)
+
+
+def test_training_keeps_its_heap_mapped():
+    # glibc would trim the heap the backward frees and fault it back in on
+    # the next step: thousands of minor faults per step at N = 514
+    resource = pytest.importorskip("resource")
+    if not tm._keep_heap_mapped():
+        pytest.skip("no glibc mallopt")
+    payload = 256
+    cfg = tm.ToyModelConfig(
+        layers=2, d_model=64, heads=4, ffn_mult=4, vocab=32, max_positions=2 * payload + 2,
+        causal=tm.SiteSpec(StrategySpec(kind="mlp"), 32), batch_size=1,
+    )
+    model = tm.ToyLM(cfg, rng=make_rng(0))
+    sampler = tm.TaskSampler(tm.TaskSpec(kind="copy", min_len=payload, max_len=payload, vocab=32))
+    tokens, mask = sampler.sample(1, make_rng(1))
+    opt = tm.adam_init(model)
+    for _ in range(2):
+        tm.train_step(model, tokens, mask, opt)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        tm.train_step(model, tokens, mask, opt)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 200, f"{faults} minor faults over 5 training steps"
