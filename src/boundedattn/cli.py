@@ -1,7 +1,10 @@
 """Command-line front end: verify / bench / train / decode.
 
 Configuration is a strict JSON document (unknown keys are fatal, reported by
-key path); every value has a flag equivalent and flags win on conflict.  Exit
+key path).  The sections ``model``, ``strategy``, ``train`` and ``bench``
+take their keys, defaults and value types from the dataclasses they fill
+(``ToyModelConfig``, ``StrategySpec``, ``TaskSpec``, ``BenchSpec``); the
+tables below name only what differs.  Flags win over the config file.  Exit
 codes: 0 success, 1 verification or training failure, 2 usage/config errors.
 The output directory may be overridden with the BOUNDEDATTN_OUTDIR
 environment variable.
@@ -10,9 +13,11 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -20,53 +25,68 @@ import numpy as np
 from . import bench as bench_mod
 from . import checkpoint
 from . import toymodel as tm
-from .attention import STRATEGY_KINDS, StrategySpec
+from .attention import StrategySpec
 from .numerics import make_rng
 from .verify import SUITES, run_suites
 
-# allowed keys per config section; strict parsing rejects anything else
-SCHEMA = {
-    "": {"seed", "out_dir", "model", "strategy", "train", "decode", "bench"},
-    "model": {
-        "layers", "d_model", "heads", "ffn_mult", "vocab", "max_positions",
-        "temperature", "tie_phi_across_layers", "lr", "beta1", "beta2", "eps",
-        "clip_norm", "warmup_steps", "batch_size",
-    },
-    "strategy": {
-        "kind", "n", "activation", "normalization", "seed", "ratio",
-        "global_positions", "cluster_iters", "max_len",
-    },
-    "train": {"task", "steps", "min_len", "max_len", "vocab", "corpus", "eval_batches"},
-    "decode": {"ckpt", "prefix", "max_len"},
-    "bench": {
-        "strategies", "lens", "n", "batch", "reps", "warmup",
-        "layers", "d_model", "heads", "ffn_mult", "vocab",
-    },
+# the dataclass each config section fills
+SECTIONS = {
+    "model": tm.ToyModelConfig, "strategy": StrategySpec,
+    "train": tm.TaskSpec, "bench": bench_mod.BenchSpec,
+}
+# config key -> dataclass field, where the two names differ
+RENAMED = {
+    "train": {"task": "kind", "corpus": "corpus_path"},
+    "bench": {"lens": "lengths", "n": "n_values", "reps": "repetitions"},
+}
+# fields the CLI sets itself, from other keys; they are not config keys
+CLI_SET = {"model": {"causal", "encoder", "cross", "seed"}, "bench": {"seed"}}
+# (type, default) of the keys that no field holds, or whose field has no default
+EXTRA = {
+    "": {"seed": (int, 0), "out_dir": (str, "out")},
+    "strategy": {"kind": (str, "mlp"), "n": (int, 32)},
+    "train": {"task": (str, "copy"), "steps": (int, 2000), "eval_batches": (int, 8)},
+    "decode": {"ckpt": (str | None, None), "prefix": (tuple[int, ...], (0,)), "max_len": (int, 32)},
 }
 
-DEFAULTS = {
-    "seed": 0,
-    "out_dir": "out",
-    "model": {
-        "layers": 2, "d_model": 64, "heads": 4, "ffn_mult": 4, "vocab": 32,
-        "max_positions": 130, "temperature": None, "tie_phi_across_layers": True,
-        "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
-        "clip_norm": 1.0, "warmup_steps": 100, "batch_size": 8,
-    },
-    "strategy": {
-        "kind": "mlp", "n": 32, "activation": "exp", "normalization": "auto",
-        "seed": 0, "ratio": 4, "global_positions": [], "cluster_iters": 10,
-        "max_len": 512,
+
+def _section_keys(section: str, cls) -> dict:
+    key_of = {field: key for key, field in RENAMED.get(section, {}).items()}
+    hints = typing.get_type_hints(cls)
+    keys = {
+        key_of.get(f.name, f.name): (hints[f.name], f.default)
+        for f in dataclasses.fields(cls) if f.name not in CLI_SET.get(section, ())
+    }
+    return {**keys, **EXTRA.get(section, {})}
+
+
+# the schema: top-level key -> (type, default), section -> {key: (type, default)}
+KEYS = {
+    **EXTRA[""], "decode": EXTRA["decode"],
+    **{section: _section_keys(section, cls) for section, cls in SECTIONS.items()},
+}
+
+
+def _defaults(keys: dict) -> dict:
+    return {k: _defaults(v) if isinstance(v, dict) else v[1] for k, v in keys.items()}
+
+
+DEFAULTS = json.loads(json.dumps(_defaults(KEYS)))  # tuples become JSON lists
+
+_COMMON = {"seed": "seed", "out": "out_dir"}
+# flag -> the config keys it sets (space-separated), per command
+FLAGS = {
+    "bench": {
+        **_COMMON, "strategy": "bench.strategies", "n": "bench.n", "lens": "bench.lens",
+        "batch": "bench.batch", "reps": "bench.reps",
     },
     "train": {
-        "task": "copy", "steps": 2000, "min_len": 64, "max_len": 64,
-        "vocab": 32, "corpus": None, "eval_batches": 8,
+        **_COMMON, "strategy": "strategy.kind", "n": "strategy.n",
+        "activation": "strategy.activation", "task": "train.task", "steps": "train.steps",
+        "length": "train.min_len train.max_len", "vocab": "train.vocab", "corpus": "train.corpus",
     },
-    "decode": {"ckpt": None, "prefix": [0], "max_len": 32},
-    "bench": {
-        "strategies": ["mlp", "window", "softmax"], "lens": [256, 512, 1024, 2048, 4096],
-        "n": [32], "batch": 16, "reps": 3, "warmup": 32,
-        "layers": 2, "d_model": 256, "heads": 4, "ffn_mult": 2, "vocab": 32,
+    "decode": {
+        **_COMMON, "ckpt": "decode.ckpt", "prefix": "decode.prefix", "max-len": "decode.max_len",
     },
 }
 
@@ -75,16 +95,52 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(doc: dict, section: str):
-    allowed = SCHEMA[section]
+def _check_keys(doc: dict, keys: dict = KEYS, prefix: str = ""):
     for key, value in doc.items():
-        path = f"{section}.{key}" if section else key
-        if key not in allowed:
+        path = prefix + key
+        if key not in keys:
             raise ConfigError(f"unknown config key: {path}")
-        if key in SCHEMA and isinstance(value, dict):
-            _check_keys(value, key)
-        elif key in SCHEMA and key in ("model", "strategy", "train", "decode", "bench"):
-            raise ConfigError(f"config key {path} must be an object")
+        if isinstance(keys[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {path} must be an object")
+            _check_keys(value, keys[key], path + ".")
+
+
+def _key_type(path: str):
+    keys = KEYS
+    for part in path.split("."):
+        keys = keys[part]
+    return keys[0]
+
+
+def _is_list(typ) -> bool:
+    return typing.get_origin(typ) is tuple
+
+
+def _convert(value, typ, name: str):
+    """``value`` as type ``typ``; a ConfigError names the key or flag ``name``."""
+    args = typing.get_args(typ)
+    if type(None) in args:  # float | None, str | None
+        return None if value is None else _convert(value, args[0], name)
+    if _is_list(typ):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{name}: expected a list, got {value!r}")
+        return tuple(_convert(v, args[0], name) for v in value)
+    if typ is str and not isinstance(value, str):
+        raise ConfigError(f"{name}: expected a string, got {value!r}")
+    try:
+        return typ(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: expected {typ.__name__}, got {value!r}") from None
+
+
+def _typed(cfg: dict, keys: dict = KEYS, prefix: str = "") -> dict:
+    """A copy of ``cfg`` with every value converted to its key's type."""
+    return {
+        k: _typed(v, keys[k], f"{prefix}{k}.") if isinstance(keys[k], dict)
+        else _convert(v, keys[k][0], prefix + k)
+        for k, v in cfg.items()
+    }
 
 
 def load_config(path: str | None) -> dict:
@@ -98,107 +154,48 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"config is not valid JSON: {e}")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
-        _check_keys(doc, "")
+        _check_keys(doc)
         for key, value in doc.items():
-            if isinstance(value, dict):
+            if isinstance(KEYS[key], dict):
                 cfg[key].update(value)
             else:
                 cfg[key] = value
     return cfg
 
 
-def _parse_ints(text: str) -> list[int]:
-    return [int(x) for x in str(text).split(",") if x != ""]
-
-
 def apply_overrides(cfg: dict, args) -> dict:
     """Flag values (when given) replace their config-file equivalents."""
-    ov = {
-        "seed": ("seed",),
-        "out": ("out_dir",),
-        "strategy": ("strategy", "kind"),
-        "n": ("strategy", "n"),
-        "activation": ("strategy", "activation"),
-        "steps": ("train", "steps"),
-        "task": ("train", "task"),
-        "length": ("train", "min_len"),
-        "vocab": ("train", "vocab"),
-        "corpus": ("train", "corpus"),
-        "ckpt": ("decode", "ckpt"),
-        "prefix": ("decode", "prefix"),
-        "max_len": ("decode", "max_len"),
-        "lens": ("bench", "lens"),
-        "bench_n": ("bench", "n"),
-        "batch": ("bench", "batch"),
-        "reps": ("bench", "reps"),
-    }
-    for flag, path in ov.items():
-        value = getattr(args, flag, None)
+    for flag, paths in FLAGS[args.command].items():
+        value = getattr(args, flag)
         if value is None:
             continue
-        if flag in ("lens", "bench_n"):
-            value = _parse_ints(value)
-        if flag == "n":
-            value = int(value)
-        if flag == "prefix":
-            value = _parse_ints(value)
-        if flag == "length":
-            cfg["train"]["min_len"] = int(value)
-            cfg["train"]["max_len"] = int(value)
-            continue
-        node = cfg
-        for part in path[:-1]:
-            node = node[part]
-        node[path[-1]] = value
+        for path in paths.split():
+            typ = _key_type(path)
+            items = [v for v in value.split(",") if v] if _is_list(typ) else value
+            section, _, key = path.rpartition(".")
+            (cfg[section] if section else cfg)[key] = _convert(items, typ, f"--{flag}")
     out_env = os.environ.get("BOUNDEDATTN_OUTDIR")
     if out_env:
         cfg["out_dir"] = out_env
     return cfg
 
 
-def strategy_from_config(sc: dict) -> StrategySpec:
-    if sc["kind"] not in STRATEGY_KINDS:
-        raise ConfigError(f"strategy.kind must be one of {STRATEGY_KINDS}, got {sc['kind']!r}")
+def _build(section: str, values: dict, **cli_set):
+    """The dataclass of a typed config section; ``cli_set`` are the fields the CLI sets."""
+    cls, renamed = SECTIONS[section], RENAMED.get(section, {})
+    fields = {f.name for f in dataclasses.fields(cls)}
+    kw = {renamed.get(k, k): v for k, v in values.items() if renamed.get(k, k) in fields}
     try:
-        return StrategySpec(
-            kind=sc["kind"],
-            activation=sc["activation"],
-            normalization=sc["normalization"],
-            seed=int(sc["seed"]),
-            ratio=int(sc["ratio"]),
-            global_positions=tuple(int(p) for p in sc["global_positions"]),
-            cluster_iters=int(sc["cluster_iters"]),
-            max_len=int(sc["max_len"]),
-        )
+        return cls(**kw, **cli_set)
     except ValueError as e:
         raise ConfigError(str(e))
 
 
 def model_config_from(cfg: dict) -> tm.ToyModelConfig:
-    mc = cfg["model"]
-    spec = strategy_from_config(cfg["strategy"])
-    try:
-        return tm.ToyModelConfig(
-            layers=int(mc["layers"]),
-            d_model=int(mc["d_model"]),
-            heads=int(mc["heads"]),
-            ffn_mult=int(mc["ffn_mult"]),
-            vocab=int(mc["vocab"]),
-            max_positions=int(mc["max_positions"]),
-            causal=tm.SiteSpec(spec, int(cfg["strategy"]["n"])),
-            temperature=mc["temperature"],
-            tie_phi_across_layers=bool(mc["tie_phi_across_layers"]),
-            lr=float(mc["lr"]),
-            beta1=float(mc["beta1"]),
-            beta2=float(mc["beta2"]),
-            eps=float(mc["eps"]),
-            clip_norm=float(mc["clip_norm"]),
-            warmup_steps=int(mc["warmup_steps"]),
-            batch_size=int(mc["batch_size"]),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
+    cfg = _typed(cfg)
+    spec = _build("strategy", cfg["strategy"])
+    causal = tm.SiteSpec(spec, cfg["strategy"]["n"])
+    return _build("model", cfg["model"], causal=causal, seed=cfg["seed"])
 
 
 def _outdir(cfg) -> Path:
@@ -225,24 +222,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(cfg) -> int:
-    bc = cfg["bench"]
-    try:
-        spec = bench_mod.BenchSpec(
-            strategies=tuple(bc["strategies"]),
-            lengths=tuple(int(x) for x in bc["lens"]),
-            n_values=tuple(int(x) for x in bc["n"]),
-            batch=int(bc["batch"]),
-            repetitions=int(bc["reps"]),
-            warmup=int(bc["warmup"]),
-            layers=int(bc["layers"]),
-            d_model=int(bc["d_model"]),
-            heads=int(bc["heads"]),
-            ffn_mult=int(bc["ffn_mult"]),
-            vocab=int(bc["vocab"]),
-            seed=int(cfg["seed"]),
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
+    spec = _build("bench", cfg["bench"], seed=cfg["seed"])
     records = bench_mod.run_decode_bench(spec, progress=lambda s: print(f"  {s}", flush=True))
     out = _outdir(cfg) / "bench.csv"
     bench_mod.emit_csv(records, out)
@@ -263,19 +243,10 @@ def cmd_bench(cfg) -> int:
 def cmd_train(cfg) -> int:
     model_cfg = model_config_from(cfg)
     tc = cfg["train"]
-    try:
-        task = tm.TaskSpec(
-            kind=tc["task"],
-            min_len=int(tc["min_len"]),
-            max_len=int(tc["max_len"]),
-            vocab=int(tc["vocab"]),
-            corpus_path=tc["corpus"],
-        )
-    except ValueError as e:
-        raise ConfigError(str(e))
+    task = _build("train", tc)
     model = tm.ToyLM(model_cfg)
     try:
-        curve = tm.train(model, task, int(tc["steps"]), make_rng(int(cfg["seed"])))
+        curve = tm.train(model, task, tc["steps"], make_rng(cfg["seed"]))
     except (tm.TrainingDiverged, ArithmeticError) as e:
         print(f"training diverged: {e}", file=sys.stderr)
         return 1
@@ -284,7 +255,7 @@ def cmd_train(cfg) -> int:
     tm.save_curve_csv(out / "curve.csv", curve)
     (out / "model.json").write_text(json.dumps(cfg, indent=2, sort_keys=True), encoding="utf-8")
     acc = tm.evaluate_accuracy(
-        model, tm.TaskSampler(task), int(tc["eval_batches"]), make_rng(int(cfg["seed"]) + 10_000)
+        model, tm.TaskSampler(task), tc["eval_batches"], make_rng(cfg["seed"] + 10_000)
     )
     final_loss = curve[-1][1] if curve else float("nan")
     print(f"steps={len(curve)} final_loss={final_loss:.4f} heldout_accuracy={acc:.4f}")
@@ -302,7 +273,7 @@ def cmd_decode(cfg) -> int:
     sidecar = ckpt_path.with_suffix(".json")
     if sidecar.exists():
         saved = json.loads(sidecar.read_text(encoding="utf-8"))
-        _check_keys(saved, "")
+        _check_keys(saved)
         for key in ("model", "strategy"):
             cfg[key].update(saved.get(key, {}))
         cfg["seed"] = saved.get("seed", cfg["seed"])
@@ -316,12 +287,21 @@ def cmd_decode(cfg) -> int:
         if v.shape != model.params[k].shape:
             raise ConfigError(f"checkpoint array {k} has shape {v.shape}, model wants {model.params[k].shape}")
         model.params[k] = v
+    if not dc["prefix"]:
+        raise ConfigError("decode.prefix is empty")
     prefix = np.array([dc["prefix"]], dtype=np.intp)
     if prefix.min() < 0 or prefix.max() >= model_cfg.vocab:
         raise ConfigError("decode.prefix contains out-of-vocabulary ids")
-    out = tm.greedy_decode(model, prefix, int(dc["max_len"]))
+    out = tm.greedy_decode(model, prefix, dc["max_len"])
     print(" ".join(str(int(t)) for t in out[0]))
     return 0
+
+
+COMMANDS = {
+    "bench": (cmd_bench, "decode latency/memory sweep, CSV out"),
+    "train": (cmd_train, "train the toy LM on a task"),
+    "decode": (cmd_decode, "greedy-decode from a checkpoint"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,32 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run equivalence/causality/gradient suites")
     pv.add_argument("--suite", help=f"one of: {', '.join(SUITES)}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int)
-    common.add_argument("--out", help="output directory")
-
-    pb = sub.add_parser("bench", parents=[common], help="decode latency/memory sweep, CSV out")
-    pb.add_argument("--strategy", help="comma-separated strategies")
-    pb.add_argument("--n", dest="bench_n", help="comma-separated memory sizes")
-    pb.add_argument("--lens", help="comma-separated sequence lengths")
-    pb.add_argument("--batch", type=int)
-    pb.add_argument("--reps", type=int)
-
-    pt = sub.add_parser("train", parents=[common], help="train the toy LM on a task")
-    pt.add_argument("--strategy", help="strategy kind for causal attention")
-    pt.add_argument("--n", help="memory slots")
-    pt.add_argument("--activation")
-    pt.add_argument("--task", choices=("copy", "reverse", "char_lm"))
-    pt.add_argument("--steps", type=int)
-    pt.add_argument("--length", type=int, help="payload length (fixes min=max)")
-    pt.add_argument("--vocab", type=int)
-    pt.add_argument("--corpus")
-
-    pd = sub.add_parser("decode", parents=[common], help="greedy-decode from a checkpoint")
-    pd.add_argument("--ckpt")
-    pd.add_argument("--prefix", help="comma-separated token ids")
-    pd.add_argument("--max-len", dest="max_len", type=int)
+    for command, (_, help_text) in COMMANDS.items():
+        pc = sub.add_parser(command, help=help_text)
+        pc.add_argument("--config", help="JSON config file")
+        for flag, paths in FLAGS[command].items():
+            keys = paths.split()
+            listed = ", comma-separated" if _is_list(_key_type(keys[0])) else ""
+            pc.add_argument(f"--{flag}", dest=flag, help=f"sets {' and '.join(keys)}{listed}")
     return p
 
 
@@ -368,16 +329,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args)
-        cfg = apply_overrides(load_config(args.config), args)
-        if args.command == "bench":
-            if getattr(args, "strategy", None):
-                cfg["bench"]["strategies"] = [s for s in args.strategy.split(",") if s]
-            return cmd_bench(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "decode":
-            return cmd_decode(cfg)
-        raise AssertionError(args.command)
+        cfg = _typed(apply_overrides(load_config(args.config), args))
+        return COMMANDS[args.command][0](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -141,9 +141,15 @@ def test_empty_records_rejected(tmp_path):
 
 
 def test_latency_monotone_in_slots_within_noise():
-    # median over >= 5 reps; tolerance band allows flat-but-noisy timers
+    # median over >= 5 reps; tolerance band allows flat-but-noisy timers.  The
+    # two cells' repetitions alternate, so a CPU-speed switch during the test
+    # slows both cells instead of only the one that happens to be running.
     spec = small_spec(strategies=("mlp",), n_values=(2, 16), lengths=(64,),
                       repetitions=5, d_model=32, heads=2)
-    records = bm.run_decode_bench(spec)
-    lat = {r.n: r.latency_median_s for r in records}
+    models = {n: ToyLM(bm.bench_model_config(spec, "mlp", n, 64)) for n in spec.n_values}
+    times = {n: [] for n in models}
+    for _ in range(spec.repetitions):
+        for n, model in models.items():
+            times[n].append(bm._timed_decode(model, spec.batch, 64, spec.warmup)[0])
+    lat = {n: float(np.median(np.concatenate(t))) for n, t in times.items()}
     assert lat[16] >= 0.8 * lat[2]

@@ -191,3 +191,131 @@ def test_diverging_training_exits_one(tmp_path, capsys):
     code = run(["train", "--config", str(cfg_path)])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+# The config schema as it was written out by hand before cli.py derived it
+# from the dataclasses: the reference the derived schema must keep.
+OLD_SCHEMA = {
+    "": {"seed", "out_dir", "model", "strategy", "train", "decode", "bench"},
+    "model": {
+        "layers", "d_model", "heads", "ffn_mult", "vocab", "max_positions",
+        "temperature", "tie_phi_across_layers", "lr", "beta1", "beta2", "eps",
+        "clip_norm", "warmup_steps", "batch_size",
+    },
+    "strategy": {
+        "kind", "n", "activation", "normalization", "seed", "ratio",
+        "global_positions", "cluster_iters", "max_len",
+    },
+    "train": {"task", "steps", "min_len", "max_len", "vocab", "corpus", "eval_batches"},
+    "decode": {"ckpt", "prefix", "max_len"},
+    "bench": {
+        "strategies", "lens", "n", "batch", "reps", "warmup",
+        "layers", "d_model", "heads", "ffn_mult", "vocab",
+    },
+}
+
+OLD_DEFAULTS = {
+    "seed": 0,
+    "out_dir": "out",
+    "model": {
+        "layers": 2, "d_model": 64, "heads": 4, "ffn_mult": 4, "vocab": 32,
+        "max_positions": 130, "temperature": None, "tie_phi_across_layers": True,
+        "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+        "clip_norm": 1.0, "warmup_steps": 100, "batch_size": 8,
+    },
+    "strategy": {
+        "kind": "mlp", "n": 32, "activation": "exp", "normalization": "auto",
+        "seed": 0, "ratio": 4, "global_positions": [], "cluster_iters": 10,
+        "max_len": 512,
+    },
+    "train": {
+        "task": "copy", "steps": 2000, "min_len": 64, "max_len": 64,
+        "vocab": 32, "corpus": None, "eval_batches": 8,
+    },
+    "decode": {"ckpt": None, "prefix": [0], "max_len": 32},
+    "bench": {
+        "strategies": ["mlp", "window", "softmax"], "lens": [256, 512, 1024, 2048, 4096],
+        "n": [32], "batch": 16, "reps": 3, "warmup": 32,
+        "layers": 2, "d_model": 256, "heads": 4, "ffn_mult": 2, "vocab": 32,
+    },
+}
+
+# model.json as the hand-written schema's CLI wrote it for tiny_train_cfg
+OLD_SIDECAR = {
+    "bench": {"batch": 16, "d_model": 256, "ffn_mult": 2, "heads": 4, "layers": 2,
+              "lens": [256, 512, 1024, 2048, 4096], "n": [32], "reps": 3,
+              "strategies": ["mlp", "window", "softmax"], "vocab": 32, "warmup": 32},
+    "decode": {"ckpt": None, "max_len": 32, "prefix": [0]},
+    "model": {"batch_size": 2, "beta1": 0.9, "beta2": 0.999, "clip_norm": 1.0, "d_model": 16,
+              "eps": 1e-08, "ffn_mult": 2, "heads": 2, "layers": 1, "lr": 0.001,
+              "max_positions": 16, "temperature": None, "tie_phi_across_layers": True,
+              "vocab": 16, "warmup_steps": 2},
+    "out_dir": "out",
+    "seed": 3,
+    "strategy": {"activation": "exp", "cluster_iters": 10, "global_positions": [], "kind": "mlp",
+                 "max_len": 512, "n": 4, "normalization": "auto", "ratio": 4, "seed": 0},
+    "train": {"corpus": None, "eval_batches": 2, "max_len": 4, "min_len": 4, "steps": 3,
+              "task": "copy", "vocab": 16},
+}
+
+
+def test_derived_schema_equals_the_hand_written_one():
+    from boundedattn.cli import DEFAULTS, KEYS
+
+    sections = {k for k, v in KEYS.items() if isinstance(v, dict)}
+    assert {"": set(KEYS), **{s: set(KEYS[s]) for s in sections}} == OLD_SCHEMA
+    assert DEFAULTS == OLD_DEFAULTS
+
+
+def test_every_flag_names_a_config_key():
+    from boundedattn.cli import DEFAULTS, FLAGS
+
+    for command, flags in FLAGS.items():
+        for flag, paths in flags.items():
+            for path in paths.split():
+                node = DEFAULTS
+                for part in path.split("."):
+                    assert part in node, (command, flag, path)
+                    node = node[part]
+
+
+def test_decode_loads_a_sidecar_written_before_the_derived_schema(tmp_path, capsys):
+    cfg = tiny_train_cfg(tmp_path)
+    assert run(["train", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "model.bin"
+    argv = ["decode", "--ckpt", str(ckpt), "--prefix", "0,2,3", "--max-len", "5"]
+    capsys.readouterr()
+    assert run(argv) == 0
+    tokens = capsys.readouterr().out
+    (tmp_path / "out" / "model.json").write_text(json.dumps(OLD_SIDECAR, indent=2, sort_keys=True))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == tokens
+
+
+@pytest.mark.parametrize("argv, bad, name", [
+    (["train", "--n", "abc"], {}, "--n"),
+    (["bench", "--lens", "8,x"], {}, "--lens"),
+    (["decode", "--prefix", "0,a"], {}, "--prefix"),
+    (["train"], {"out_dir": 5}, "out_dir"),
+    (["train"], {"model": {"temperature": "abc"}}, "model.temperature"),
+], ids=["train-n", "bench-lens", "decode-prefix", "out_dir", "model.temperature"])
+def test_bad_value_exits_two_naming_its_flag_or_key(tmp_path, capsys, argv, bad, name):
+    path = tiny_train_cfg(tmp_path)
+    cfg = json.loads(path.read_text())
+    for key, value in bad.items():
+        if isinstance(value, dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    path.write_text(json.dumps(cfg))
+    assert run(argv + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and name in err
+
+
+def test_decode_rejects_an_empty_prefix(tmp_path, capsys):
+    cfg = tiny_train_cfg(tmp_path)
+    assert run(["train", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert run(["decode", "--ckpt", str(tmp_path / "out" / "model.bin"), "--prefix", ""]) == 2
+    assert "decode.prefix is empty" in capsys.readouterr().err
