@@ -1,9 +1,14 @@
 """Multihead bounded-memory attention with hand-written backward passes.
 
+Every site reads one memory through one softmax readout; the strategies
+differ only in how the control phi organizes that memory, and softmax is
+the identity control, whose memory is the keys and values themselves.
 Drop-in replacement for softmax multihead attention at three sites:
 
 * ``encoder_self`` -- queries and keys/values from the same full sequence;
-  the slot memory is built once from all tokens and every query reads it.
+  the memory (phi^T K, phi^T V) is built once from all tokens, and every
+  query reads it through the softmax kernel pair (``_softmax_forward`` /
+  ``_softmax_backward``) that exact attention uses.
 * ``causal``       -- self-attention over the prefix; the memory is the
   recurrent state ktilde_t = transition . ktilde_{t-1} + phi_t (x) k_t.
   Training runs it in linear time, on one grid of chunks of C <= 32 steps
@@ -15,7 +20,12 @@ Drop-in replacement for softmax multihead attention at three sites:
   chunk against the C + h key rows it can reach in one (C x (C + h)) GEMM
   and read the slot scores off a strided band of it, at O(N (C + h) d_head).
 * ``cross``        -- decoder queries over a memory built once from the
-  encoder output and cached in the decoder state for all decode steps.
+  encoder output, as at ``encoder_self``; the decoder state caches exactly
+  that memory for all decode steps.
+
+A decode state (:class:`AttnState`) is likewise one memory: n slots, one
+queue per stride residue, or for softmax the key/value cache whose slot t
+holds token t; :func:`stream_step` reads each through the same readout.
 
 Every dense weight is stored C-contiguous as (d_out, d_in) and applied as
 ``x @ W.T``, as the strategy weights are; its gradient is
@@ -56,8 +66,8 @@ from .numerics import (
 
 SITES = ("encoder_self", "causal", "cross")
 
-# kind -> strategy object for n slots; softmax is the exact baseline with a
-# growing key/value cache and has no control
+# kind -> strategy object for n slots; softmax is the identity control (None):
+# its memory is the keys and values themselves, one slot per token
 _CONTROLS = {
     "softmax": lambda n, spec: None,
     "mlp": lambda n, spec: st.MlpControl(n, spec.activation),
@@ -253,62 +263,19 @@ def _mlp_alpha(control: st.MlpControl, X: np.ndarray, weights: np.ndarray):
     return Z, st.activation_forward(control.activation, Z, clamp=st.EXP_CLAMP)
 
 
-# --- per-family forward/backward kernels ---------------------------------------
-# Q, K, V are per-head tensors (B, H, N, d_head); A is the shared control
-# stack (B, N, n).  Each forward returns (out, cache) for its backward.
+def _mask_unwritten(s: np.ndarray, written: np.ndarray) -> np.ndarray:
+    """Slot scores ``s`` (..., n) set to -inf, in place, at the slots
+    ``written`` marks False, on the rows where some slot is written.
 
-
-def _oneshot_forward(Q, K, V, phi, tau):
-    # phi: (B, N, n) shared across heads, or (B, H, N, n) for cluster control.
-    # All contractions are broadcasted batched matmuls (BLAS), not einsum.
-    if phi.ndim == 4:
-        phiT = phi.transpose(0, 1, 3, 2)  # (B, H, n, N)
-    else:
-        phiT = phi.transpose(0, 2, 1)[:, None]  # (B, 1, n, N)
-    ktilde = np.matmul(phiT, K)
-    vtilde = np.matmul(phiT, V)
-    s = np.matmul(Q, ktilde.transpose(0, 1, 3, 2)) / tau
-    a = softmax_rows(s)
-    out = np.matmul(a, vtilde)
-    return out, {"a": a, "ktilde": ktilde, "vtilde": vtilde, "phi": phi}
-
-
-def _oneshot_backward(dout, Q, K, V, cache, tau):
-    a, ktilde, vtilde, phi = cache["a"], cache["ktilde"], cache["vtilde"], cache["phi"]
-    da = np.matmul(dout, vtilde.transpose(0, 1, 3, 2))
-    dvtilde = np.matmul(a.transpose(0, 1, 3, 2), dout)
-    ds = softmax_rows_backward(a, da)
-    dQ = np.matmul(ds, ktilde) / tau
-    dktilde = np.matmul(ds.transpose(0, 1, 3, 2), Q) / tau
-    if phi.ndim == 4:
-        dK = np.matmul(phi, dktilde)
-        dV = np.matmul(phi, dvtilde)
-        dphi = None  # cluster membership is held fixed during backward
-    else:
-        dK = np.matmul(phi[:, None], dktilde)
-        dV = np.matmul(phi[:, None], dvtilde)
-        dphi = np.matmul(K, dktilde.transpose(0, 1, 3, 2)).sum(axis=1)
-        dphi += np.matmul(V, dvtilde.transpose(0, 1, 3, 2)).sum(axis=1)
-    return dQ, dK, dV, dphi
-
-
-def written_slot_mask(phi: np.ndarray) -> np.ndarray:
-    """(N, n) bools: has slot l received any nonzero weight by step t?
-
-    Readout at step t excludes slots that are still all-zero rows (they would
-    otherwise score q . 0 = 0 and soak up weight); this is what makes the
-    identity control with n = N reproduce causal softmax attention exactly.
-    Steps where *no* slot has been written yet are left unmasked and read the
-    all-zero memory as-is (uniform weights over zero values: a zero output).
+    A constant control reads only the slots it has written: an all-zero slot
+    would score q . 0 = 0 and soak up weight, and excluding it is what makes
+    the identity control with n = N reproduce causal softmax exactly.  A row
+    with no slot written yet reads the all-zero memory as-is (uniform weights
+    over zero values: a zero output).  The batch kernel and the decode step
+    both mask through here.
     """
-    return np.cumsum(np.abs(phi), axis=0) > 0.0
-
-
-def _unwritten_bias(slot_mask: np.ndarray) -> np.ndarray:
-    bias = np.zeros(slot_mask.shape)
-    rows = slot_mask.any(axis=1)
-    bias[rows[:, None] & ~slot_mask] = -np.inf
-    return bias
+    np.copyto(s, -np.inf, where=~written & written.any(axis=-1, keepdims=True))
+    return s
 
 
 # --- causal kernels ----------------------------------------------------------------
@@ -384,7 +351,7 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
         S = S.reshape(B * nc, 1, c, n)
     else:
         S = None
-        bias = _unwritten_bias(written_slot_mask(A[0])).reshape(nc, 1, c, n)
+        written = (np.cumsum(np.abs(A[0]), axis=0) > 0.0).reshape(nc, 1, c, n)
     A = A.reshape(B * nc, c, n)
     mask = np.tril(np.ones((c, c)))
     P = np.matmul(Q, _swap(K))
@@ -402,7 +369,7 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
         s /= S * tau
     else:
         s /= tau
-        _by_chunk(s, B)[...] += bias
+        _mask_unwritten(_by_chunk(s, B), written)
     a = softmax_rows(s)
     g = a / S if normalize else a
     W2 = np.matmul(g.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
@@ -581,6 +548,26 @@ def _softmax_backward(dout, Q, K, V, cache, tau):
     return dQ, dK, dV
 
 
+def _slot_memory(phi, K, V):
+    """The slot memory (phi^T K, phi^T V) of a whole key/value sequence.
+
+    phi is (B, Nk, n), shared across heads, or (B, H, Nk, n) for cluster
+    control; K and V are (B, H, Nk, d_head).  Both are batched matmuls.
+    """
+    phiT = _swap(phi) if phi.ndim == 4 else _swap(phi)[:, None]
+    return np.matmul(phiT, K), np.matmul(phiT, V)
+
+
+def _slot_memory_backward(phi, K, V, dkt, dvt):
+    """(dK, dV, dphi) of :func:`_slot_memory` from the memory gradients;
+    dphi is None for cluster control, whose membership is held fixed."""
+    if phi.ndim == 4:
+        return np.matmul(phi, dkt), np.matmul(phi, dvt), None
+    dphi = np.matmul(K, _swap(dkt)).sum(axis=1)
+    dphi += np.matmul(V, _swap(dvt)).sum(axis=1)
+    return np.matmul(phi[:, None], dkt), np.matmul(phi[:, None], dvt), dphi
+
+
 def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: dict):
     """Control over a whole key/value sequence (the encoder_self and cross sites).
 
@@ -647,13 +634,15 @@ def mha_forward(
         sw=params.strategy_weights,
     )
 
-    if control is None:
-        out, cache = _softmax_forward(Q, K, V, tau, config.site == "causal")
-        ar["family"] = "softmax"
-    elif config.site != "causal":
-        phi = _sequence_phi(config, params, Xkv, K, ar)
-        out, cache = _oneshot_forward(Q, K, V, phi, tau)
-        ar["family"] = "oneshot"
+    if control is None or config.site != "causal":
+        # one softmax readout of one memory: the keys and values themselves,
+        # or under a bounded control the sequence's slots (phi^T K, phi^T V)
+        Km, Vm = K, V
+        if control is not None:
+            ar["phi"] = _sequence_phi(config, params, Xkv, K, ar)
+            Km, Vm = _slot_memory(ar["phi"], K, V)
+        out, cache = _softmax_forward(Q, Km, Vm, tau, config.site == "causal")
+        ar.update(Km=Km, Vm=Vm, family="softmax")
     elif control.stride:
         out, cache = _queue_causal_forward(Q, K, V, control.n, control.stride, tau)
         ar["family"] = "queue"
@@ -700,19 +689,19 @@ def mha_backward(tape: GradTape, d_out):
     dA = None
     family = ar["family"]
     if family == "softmax":
-        dQ, dK, dV = _softmax_backward(dout_h, Q, K, V, cache, tau)
-    elif family == "queue":
-        dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, config.control.stride, tau)
-    elif family == "additive":
-        dQ, dK, dV, dA = _additive_causal_backward(
-            dout_h, Q, K, V, cache, ar["normalize"], tau, ar["sw"] is not None)
-    else:
-        dQ, dK, dV, dA = _oneshot_backward(dout_h, Q, K, V, cache, tau)
+        dQ, dK, dV = _softmax_backward(dout_h, Q, ar["Km"], ar["Vm"], cache, tau)
+        if "phi" in ar:
+            dK, dV, dA = _slot_memory_backward(ar["phi"], K, V, dK, dV)
         if "total" in ar:  # learned control, phi = alpha / total over the sequence
             dphi, total = dA, ar["total"]
             dA = dphi / total[:, None, :]
-            dtotal = -np.sum(dphi * cache["phi"], axis=1) / total
+            dtotal = -np.sum(dphi * ar["phi"], axis=1) / total
             dA += dtotal[:, None, :]
+    elif family == "queue":
+        dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, config.control.stride, tau)
+    else:
+        dQ, dK, dV, dA = _additive_causal_backward(
+            dout_h, Q, K, V, cache, ar["normalize"], tau, ar["sw"] is not None)
 
     dQf = _merge_heads(dQ)
     dKf = _merge_heads(dK)
@@ -770,41 +759,40 @@ def pseudo_query_memory(w_phi: np.ndarray, X: np.ndarray, K: np.ndarray) -> np.n
 class AttnState:
     """Per-layer recurrent state of one attention instance during decode.
 
+    Every state is one memory, ``ktilde``/``vtilde``, that a step reads
+    through one softmax readout.  An accumulating strategy keeps its n slots,
+    (B, H, n, d_head); a queue strategy keeps one queue per stride residue,
+    (B, H, stride, n, d_head).  Softmax is the identity control: its memory
+    is the key/value cache preallocated to capacity, (B, H, capacity,
+    d_head), whose slot t holds token t.  A cross state holds the memory the
+    batch forward reads, built once from the encoder output.
+
     ``size_bytes`` counts every ndarray field (the softmax cache up to the
     filled length).
     """
 
     config: AttentionConfig
+    ktilde: np.ndarray
+    vtilde: np.ndarray
     t: int = 0
-    # bounded-memory strategies: slot matrices (B, H, n, d_head); queue
-    # strategies keep one queue per stride residue, (B, H, stride, n, d_head)
-    ktilde: np.ndarray | None = None
-    vtilde: np.ndarray | None = None
     # accumulating causal strategies: running per-slot sum of |phi| (B, H, n);
     # the learned control divides by it, constant controls read only the
     # slots where it is nonzero (the written ones)
     norm: np.ndarray | None = None
-    # softmax baseline: growing key/value cache, preallocated to capacity
-    kcache: np.ndarray | None = None
-    vcache: np.ndarray | None = None
     # cross attention: memory is static after init
     static: bool = False
 
     def state_arrays(self) -> list[np.ndarray]:
         out = [a for a in (self.ktilde, self.vtilde, self.norm) if a is not None]
-        if self.kcache is not None:
+        if self.config.control is None and not self.static:
             # the filled region is what a growing cache would occupy
-            out.append(self.kcache[:, :, : self.t])
-            out.append(self.vcache[:, :, : self.t])
+            out = [a[:, :, : self.t] for a in out]
         return out
 
     def size_bytes(self) -> int:
         """Bytes held for one sequence (batch divided out)."""
         arrays = self.state_arrays()
-        if not arrays:
-            return 0
-        batch = arrays[0].shape[0]
-        return sum(a.nbytes for a in arrays) // batch
+        return sum(a.nbytes for a in arrays) // arrays[0].shape[0]
 
 
 def init_attn_state(
@@ -823,41 +811,29 @@ def init_attn_state(
         enc, _ = _batched(encoder_out)
         K = _split_heads(enc @ params.wk.T, H)
         V = _split_heads(enc @ params.wv.T, H)
-        if control is None:
-            return AttnState(config=config, kcache=K, vcache=V, t=K.shape[2], static=True)
-        phi = _sequence_phi(config, params, enc, K, {})
-        eq = "bhtn,bhtd->bhnd" if phi.ndim == 4 else "btn,bhtd->bhnd"
-        return AttnState(
-            config=config,
-            ktilde=np.einsum(eq, phi, K, optimize=True),
-            vtilde=np.einsum(eq, phi, V, optimize=True),
-            static=True,
-        )
+        if control is not None:
+            K, V = _slot_memory(_sequence_phi(config, params, enc, K, {}), K, V)
+        return AttnState(config=config, ktilde=K, vtilde=V, static=True)
 
     if config.site != "causal":
         raise ValueError("only causal and cross sites have decode state")
     if control is None:
-        return AttnState(
-            config=config,
-            kcache=np.zeros((batch, H, capacity, dh)),
-            vcache=np.zeros((batch, H, capacity, dh)),
-        )
-    if control.stride:
+        shape = (batch, H, capacity, dh)
+    elif control.stride:
         shape = (batch, H, control.stride, n, dh)
-        return AttnState(config=config, ktilde=np.zeros(shape), vtilde=np.zeros(shape))
-    return AttnState(
-        config=config,
-        ktilde=np.zeros((batch, H, n, dh)),
-        vtilde=np.zeros((batch, H, n, dh)),
-        norm=np.zeros((batch, H, n)),
-    )
+    else:
+        shape = (batch, H, n, dh)
+    norm = None if control is None or control.stride else np.zeros((batch, H, n))
+    return AttnState(config=config, ktilde=np.zeros(shape), vtilde=np.zeros(shape), norm=norm)
 
 
 def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnState) -> np.ndarray:
     """Advance one decode step: x is (B, d_model), returns (B, d_model).
 
-    Per-step cost depends only on the slot count for the bounded strategies;
-    the softmax baseline reads its whole cache.
+    A causal step writes the token into the memory; every step then reads
+    the memory through the one softmax readout.  Per-step cost depends only
+    on the slot count for the bounded strategies; the softmax baseline reads
+    its filled cache.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -866,51 +842,39 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     H, dh, n, tau = config.heads, config.d_head, config.n, config.tau
     control = config.control
     t = state.t
-
     q = (x @ params.wq.T).reshape(B, H, dh)
-    if not state.static:
-        k = (x @ params.wk.T).reshape(B, H, dh)
-        v = (x @ params.wv.T).reshape(B, H, dh)
-
-    if control is None:
-        if state.static:
-            kc, vc = state.kcache, state.vcache
-        else:
-            if t >= state.kcache.shape[2]:
-                raise ValueError("decode exceeded the preallocated cache capacity")
-            state.kcache[:, :, t] = k
-            state.vcache[:, :, t] = v
-            state.t = t + 1
-            kc = state.kcache[:, :, : t + 1]
-            vc = state.vcache[:, :, : t + 1]
-        # batched BLAS matmuls: this cache read is the O(t) per-token cost
-        s = np.matmul(kc, q[..., None])[..., 0] / tau
-        a = softmax_rows(s)
-        out = np.matmul(a[:, :, None, :], vc)[:, :, 0, :]
-        return out.reshape(B, H * dh) @ params.wo.T
 
     # the learned control reads the memory divided by its running normalizer:
     # the scores and the readout weights are divided, not the slot matrices
     norm = None
     learned = isinstance(control, st.MlpControl)
     kt, vt = state.ktilde, state.vtilde
-    if not state.static and control.stride:
-        # the queue of t's residue shifts up and takes the token in its last slot
-        kt, vt = kt[:, :, t % control.stride], vt[:, :, t % control.stride]
-        kt[:, :, :-1] = kt[:, :, 1:]
-        vt[:, :, :-1] = vt[:, :, 1:]
-        kt[:, :, -1] = k
-        vt[:, :, -1] = v
-        state.t = t + 1
-    elif not state.static:
-        if learned:
-            _, alpha = _mlp_alpha(control, x, params.strategy_weights)
+    if not state.static:
+        k = (x @ params.wk.T).reshape(B, H, dh)
+        v = (x @ params.wv.T).reshape(B, H, dh)
+        if control is None:
+            # the token takes slot t; the filled slots are the memory read
+            if t >= kt.shape[2]:
+                raise ValueError("decode exceeded the preallocated cache capacity")
+            kt[:, :, t] = k
+            vt[:, :, t] = v
+            kt, vt = kt[:, :, : t + 1], vt[:, :, : t + 1]
+        elif control.stride:
+            # the queue of t's residue shifts up and takes the token in its last slot
+            kt, vt = kt[:, :, t % control.stride], vt[:, :, t % control.stride]
+            kt[:, :, :-1] = kt[:, :, 1:]
+            vt[:, :, :-1] = vt[:, :, 1:]
+            kt[:, :, -1] = k
+            vt[:, :, -1] = v
         else:
-            alpha = np.broadcast_to(st.phi_at(control, t, params.strategy_weights), (B, n))
-        w = alpha[:, None, :, None]
-        kt += w * k[:, :, None, :]
-        vt += w * v[:, :, None, :]
-        state.norm += np.abs(alpha)[:, None, :]
+            if learned:
+                _, alpha = _mlp_alpha(control, x, params.strategy_weights)
+            else:
+                alpha = np.broadcast_to(st.phi_at(control, t, params.strategy_weights), (B, n))
+            w = alpha[:, None, :, None]
+            kt += w * k[:, :, None, :]
+            vt += w * v[:, :, None, :]
+            state.norm += np.abs(alpha)[:, None, :]
         state.t = t + 1
         if learned:
             if np.any(state.norm <= 0.0):
@@ -919,9 +883,7 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     s = np.matmul(kt, q[..., None])[..., 0]
     s /= tau if norm is None else norm * tau
     if state.norm is not None and not learned:
-        # constant controls read only written slots, once any slot is written
-        written = state.norm > 0.0
-        s = np.where(written | ~written.any(axis=-1, keepdims=True), s, -np.inf)
+        _mask_unwritten(s, state.norm > 0.0)
     a = softmax_rows(s)
     if norm is not None:
         a /= norm

@@ -128,6 +128,11 @@ def _convert(value, typ, name: str):
         return tuple(_convert(v, args[0], name) for v in value)
     if typ is str and not isinstance(value, str):
         raise ConfigError(f"{name}: expected a string, got {value!r}")
+    # typ(value) alone would read "false" as True, 2.7 as 2 and true as 1
+    if (typ is bool) != isinstance(value, bool) or (
+        typ is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"{name}: expected {typ.__name__}, got {value!r}")
     try:
         return typ(value)
     except (TypeError, ValueError):

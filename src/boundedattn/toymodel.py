@@ -750,16 +750,16 @@ def greedy_decode(model, prefix, max_len: int):
         prefix = prefix[None, :]
     B, P = prefix.shape
     state = model.init_state(B, capacity=min(P + max_len, model.config.max_positions))
-    logits = None
-    for t in range(P):
-        logits = model.step(prefix[:, t], state)
-    out = np.zeros((B, 0), dtype=np.intp)
-    for _ in range(max_len):
-        nxt = logits.argmax(axis=-1)
-        out = np.concatenate([out, nxt[:, None]], axis=1)
-        if out.shape[1] == max_len:
-            break
-        logits = model.step(nxt, state)
+    for t in range(P - 1):
+        model.step(prefix[:, t], state)
+    return _greedy_loop(model, state, prefix[:, -1], max_len)
+
+
+def _greedy_loop(model, state, tok, max_len: int):
+    """(B, max_len) greedy ids: each step feeds the last id, ``tok`` first."""
+    out = np.empty((len(tok), max_len), dtype=np.intp)
+    for i in range(max_len):
+        tok = out[:, i] = model.step(tok, state).argmax(axis=-1)
     return out
 
 
@@ -819,13 +819,7 @@ class ToySeq2Seq(_Model):
         if src.ndim == 1:
             src = src[None, :]
         state = self.init_state(src)
-        tok = np.full(src.shape[0], BOS, dtype=np.intp)
-        out = np.zeros((src.shape[0], 0), dtype=np.intp)
-        for _ in range(max_len):
-            logits = self.step(tok, state)
-            tok = logits.argmax(axis=-1)
-            out = np.concatenate([out, tok[:, None]], axis=1)
-        return out
+        return _greedy_loop(self, state, np.full(src.shape[0], BOS, dtype=np.intp), max_len)
 
 
 def seq2seq_loss_and_grads(model: ToySeq2Seq, src, tgt_in, tgt_out, mask=None):

@@ -131,6 +131,8 @@ def test_queue_block_boundaries_batch_equals_streaming(kind, n, N):
     ("linformer", {"max_len": 16}),
     ("cluster", {}),
     ("compressive", {"ratio": 4}),
+    ("random", {"seed": 3, "max_len": 16}),
+    ("local_to_global", {}),
 ])
 def test_cross_batch_equals_cached_memory_decode(kind, extra):
     rng = make_rng(43)
@@ -139,8 +141,11 @@ def test_cross_batch_equals_cached_memory_decode(kind, extra):
     Xq = rng.normal(size=(B, Nt, d))
     c = cfg(site="cross", kind=kind, n=3, d_model=d, **extra)
     p = make_params(c, seed=9)
-    y_batch, _, _ = att.mha_forward(Xq, enc, p, c)
+    y_batch, tape, _ = att.mha_forward(Xq, enc, p, c)
     state = att.init_attn_state(c, p, batch=B, capacity=Nt, encoder_out=enc)
+    # the decode state caches exactly the memory the batch forward reads
+    assert np.array_equal(state.ktilde, tape.arrays["Km"])
+    assert np.array_equal(state.vtilde, tape.arrays["Vm"])
     outs = [att.mha_forward(Xq[:, t], None, p, c, state=state)[0] for t in range(Nt)]
     y_stream = np.stack(outs, axis=1)
     assert np.abs(y_batch - y_stream).max() <= 1e-10
@@ -375,6 +380,15 @@ GRAD_CASES = [
     ("causal", "dilated", {}),
     ("causal", "compressive", {"ratio": 2}),
     ("causal", "local_to_global", {"global_positions": (0, 3)}),  # slot 2 never written
+    # every sequence-site memory shape: cluster's per-head (B, H, N, n)
+    # control, whose membership the backward holds fixed, and the constant ones
+    ("encoder_self", "cluster", {}),
+    ("cross", "cluster", {}),
+    ("cross", "linformer", {"max_len": 12}),
+    ("cross", "compressive", {"ratio": 3}),
+    ("cross", "random", {"seed": 2, "max_len": 12}),
+    ("encoder_self", "local_to_global", {}),
+    ("cross", "local_to_global", {}),
 ]
 
 

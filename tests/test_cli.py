@@ -298,7 +298,12 @@ def test_decode_loads_a_sidecar_written_before_the_derived_schema(tmp_path, caps
     (["decode", "--prefix", "0,a"], {}, "--prefix"),
     (["train"], {"out_dir": 5}, "out_dir"),
     (["train"], {"model": {"temperature": "abc"}}, "model.temperature"),
-], ids=["train-n", "bench-lens", "decode-prefix", "out_dir", "model.temperature"])
+    (["train"], {"model": {"tie_phi_across_layers": "false"}}, "model.tie_phi_across_layers"),
+    (["train"], {"model": {"warmup_steps": 2.7}}, "model.warmup_steps"),
+    (["train"], {"model": {"layers": True}}, "model.layers"),
+    (["train"], {"model": {"lr": True}}, "model.lr"),
+], ids=["train-n", "bench-lens", "decode-prefix", "out_dir", "model.temperature",
+        "bool-from-string", "int-from-fraction", "int-from-bool", "float-from-bool"])
 def test_bad_value_exits_two_naming_its_flag_or_key(tmp_path, capsys, argv, bad, name):
     path = tiny_train_cfg(tmp_path)
     cfg = json.loads(path.read_text())
