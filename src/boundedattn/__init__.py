@@ -12,6 +12,7 @@ from .attention import (
     mha_backward,
     mha_forward,
     pseudo_query_memory,
+    stream_step,
 )
 from .memory import (
     BoundedMemory,

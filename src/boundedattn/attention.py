@@ -23,9 +23,11 @@ Drop-in replacement for softmax multihead attention at three sites:
   encoder output, as at ``encoder_self``; the decoder state caches exactly
   that memory for all decode steps.
 
-A decode state (:class:`AttnState`) is likewise one memory: n slots, one
-queue per stride residue, or for softmax the key/value cache whose slot t
-holds token t; :func:`stream_step` reads each through the same readout.
+A decode state (:class:`AttnState`) is likewise one memory of
+(B, H, slots, d_head) key/value slots, and :func:`stream_step`, the one
+decode entry, reads it through the same readout.  The accumulating
+strategies add every token into their n slots; softmax and the queue
+strategies keep a ring that writes token t to slot t mod slots.
 
 Every dense weight is stored C-contiguous as (d_out, d_in) and applied as
 ``x @ W.T``, as the strategy weights are; its gradient is
@@ -122,7 +124,6 @@ class AttentionConfig:
     strategy: StrategySpec
     n: int
     temperature: float | None = None  # None -> sqrt(d_head)
-    tie_phi_across_layers: bool = True
 
     def __post_init__(self):
         if self.site not in SITES:
@@ -591,24 +592,12 @@ def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: di
 # --- public batch forward/backward ----------------------------------------------
 
 
-def mha_forward(
-    Xq,
-    Xkv,
-    params: LayerParams,
-    config: AttentionConfig,
-    state: "AttnState | None" = None,
-):
-    """Multihead attention forward.
+def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
+    """Multihead attention forward over whole sequences; returns (Y, tape).
 
     ``Xq``/``Xkv`` are (N, d_model) or (B, N, d_model); ``Xkv`` may be None at
-    the self sites.  When ``state`` is given (streaming decode), Xq is one
-    step of shape (B, d_model) and no tape is recorded.  Returns
-    (Y, tape, state).
+    the self sites.  Decode goes through :func:`stream_step`.
     """
-    if state is not None:
-        y = stream_step(Xq, params, config, state)
-        return y, None, state
-
     Xq, squeeze = _batched(Xq)
     if config.site == "cross":
         if Xkv is None:
@@ -663,7 +652,7 @@ def mha_forward(
     Y = O @ params.wo.T
     ar["O"] = O
     check_finite(Y, "attention output")
-    return (Y[0] if squeeze else Y), tape, None
+    return (Y[0] if squeeze else Y), tape
 
 
 def mha_backward(tape: GradTape, d_out):
@@ -759,13 +748,15 @@ def pseudo_query_memory(w_phi: np.ndarray, X: np.ndarray, K: np.ndarray) -> np.n
 class AttnState:
     """Per-layer recurrent state of one attention instance during decode.
 
-    Every state is one memory, ``ktilde``/``vtilde``, that a step reads
-    through one softmax readout.  An accumulating strategy keeps its n slots,
-    (B, H, n, d_head); a queue strategy keeps one queue per stride residue,
-    (B, H, stride, n, d_head).  Softmax is the identity control: its memory
-    is the key/value cache preallocated to capacity, (B, H, capacity,
-    d_head), whose slot t holds token t.  A cross state holds the memory the
-    batch forward reads, built once from the encoder output.
+    Every state is one memory, ``ktilde``/``vtilde`` of shape (B, H, slots,
+    d_head), that a step reads through one softmax readout.  An accumulating
+    strategy adds every token into its n slots.  Softmax (the identity
+    control, capacity slots) and the queue strategies (stride * n slots) keep
+    a ring: token t goes to slot t mod slots.  The softmax ring never wraps,
+    and a step reads its filled slots; a queue step reads the n slots of t's
+    stride residue, which hold tokens t, t - stride, ..., t - stride (n - 1)
+    (zero before their step).  A cross state holds the memory the batch
+    forward reads, built once from the encoder output, and never changes.
 
     ``size_bytes`` counts every ndarray field (the softmax cache up to the
     filled length).
@@ -779,12 +770,10 @@ class AttnState:
     # the learned control divides by it, constant controls read only the
     # slots where it is nonzero (the written ones)
     norm: np.ndarray | None = None
-    # cross attention: memory is static after init
-    static: bool = False
 
     def state_arrays(self) -> list[np.ndarray]:
         out = [a for a in (self.ktilde, self.vtilde, self.norm) if a is not None]
-        if self.config.control is None and not self.static:
+        if self.config.control is None and self.config.site == "causal":
             # the filled region is what a growing cache would occupy
             out = [a[:, :, : self.t] for a in out]
         return out
@@ -813,16 +802,12 @@ def init_attn_state(
         V = _split_heads(enc @ params.wv.T, H)
         if control is not None:
             K, V = _slot_memory(_sequence_phi(config, params, enc, K, {}), K, V)
-        return AttnState(config=config, ktilde=K, vtilde=V, static=True)
+        return AttnState(config=config, ktilde=K, vtilde=V)
 
     if config.site != "causal":
         raise ValueError("only causal and cross sites have decode state")
-    if control is None:
-        shape = (batch, H, capacity, dh)
-    elif control.stride:
-        shape = (batch, H, control.stride, n, dh)
-    else:
-        shape = (batch, H, n, dh)
+    slots = capacity if control is None else max(control.stride, 1) * n
+    shape = (batch, H, slots, dh)
     norm = None if control is None or control.stride else np.zeros((batch, H, n))
     return AttnState(config=config, ktilde=np.zeros(shape), vtilde=np.zeros(shape), norm=norm)
 
@@ -830,10 +815,10 @@ def init_attn_state(
 def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnState) -> np.ndarray:
     """Advance one decode step: x is (B, d_model), returns (B, d_model).
 
-    A causal step writes the token into the memory; every step then reads
-    the memory through the one softmax readout.  Per-step cost depends only
-    on the slot count for the bounded strategies; the softmax baseline reads
-    its filled cache.
+    The one decode entry.  A causal step writes the token into the memory;
+    every step then reads the memory through the one softmax readout.
+    Per-step cost depends only on the slot count for the bounded strategies;
+    the softmax baseline reads its filled cache.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -849,23 +834,19 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     norm = None
     learned = isinstance(control, st.MlpControl)
     kt, vt = state.ktilde, state.vtilde
-    if not state.static:
+    if config.site == "causal":
         k = (x @ params.wk.T).reshape(B, H, dh)
         v = (x @ params.wv.T).reshape(B, H, dh)
-        if control is None:
-            # the token takes slot t; the filled slots are the memory read
-            if t >= kt.shape[2]:
+        if control is None or control.stride:
+            # the token takes ring slot t mod slots; softmax reads its filled
+            # slots, a queue the every-stride-th slots of t's residue
+            slots = kt.shape[2]
+            if control is None and t >= slots:
                 raise ValueError("decode exceeded the preallocated cache capacity")
-            kt[:, :, t] = k
-            vt[:, :, t] = v
-            kt, vt = kt[:, :, : t + 1], vt[:, :, : t + 1]
-        elif control.stride:
-            # the queue of t's residue shifts up and takes the token in its last slot
-            kt, vt = kt[:, :, t % control.stride], vt[:, :, t % control.stride]
-            kt[:, :, :-1] = kt[:, :, 1:]
-            vt[:, :, :-1] = vt[:, :, 1:]
-            kt[:, :, -1] = k
-            vt[:, :, -1] = v
+            kt[:, :, t % slots] = k
+            vt[:, :, t % slots] = v
+            read = slice(t + 1) if control is None else slice(t % control.stride, None, control.stride)
+            kt, vt = kt[:, :, read], vt[:, :, read]
         else:
             if learned:
                 _, alpha = _mlp_alpha(control, x, params.strategy_weights)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import StrategySpec
+from .attention import StrategySpec, control_for
 from .toymodel import BOS, SiteSpec, ToyLM, ToyModelConfig
 
 CSV_HEADER = "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s,failure"
@@ -172,11 +172,12 @@ def run_decode_bench(spec: BenchSpec, progress=None) -> list[BenchRecord]:
 def decoder_state_bytes(config: ToyModelConfig, length: int) -> int:
     """Analytic per-sequence decode state size after ``length`` tokens."""
     dh = config.d_model // config.heads
-    kind, n = config.causal.strategy.kind, config.causal.n
-    if kind == "softmax":
+    n = config.causal.n
+    control = control_for(n, config.causal.strategy)
+    if control is None:
         per_head = 2 * length * dh  # the filled key/value cache
-    elif kind in ("window", "dilated"):
-        per_head = 2 * n * dh * (2 if kind == "dilated" else 1)  # dilated: one queue per parity
+    elif control.stride:
+        per_head = 2 * control.stride * n * dh  # a ring of stride * n key/value slots
     else:
         per_head = 2 * n * dh + n  # slot matrices plus the per-slot normalizer
     return config.layers * config.heads * per_head * 8

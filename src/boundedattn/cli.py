@@ -126,10 +126,9 @@ def _convert(value, typ, name: str):
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{name}: expected a list, got {value!r}")
         return tuple(_convert(v, args[0], name) for v in value)
-    if typ is str and not isinstance(value, str):
-        raise ConfigError(f"{name}: expected a string, got {value!r}")
-    # typ(value) alone would read "false" as True, 2.7 as 2 and true as 1
-    if (typ is bool) != isinstance(value, bool) or (
+    # typ(value) alone would read "false" as True, "3" as 3, 2.7 as 2 and
+    # true as 1; only flag text is parsed into numbers (see _parse_flag)
+    if (typ is bool) != isinstance(value, bool) or (typ is str) != isinstance(value, str) or (
         typ is int and isinstance(value, float) and not value.is_integer()
     ):
         raise ConfigError(f"{name}: expected {typ.__name__}, got {value!r}")
@@ -168,6 +167,18 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def _parse_flag(text: str, typ, flag: str):
+    """A flag's text as a value of ``typ``: a list splits at commas, a number parses."""
+    if _is_list(typ):
+        return [_parse_flag(v, typing.get_args(typ)[0], flag) for v in text.split(",") if v]
+    if typ not in (int, float):
+        return text
+    try:
+        return typ(text)
+    except ValueError:
+        raise ConfigError(f"--{flag}: expected {typ.__name__}, got {text!r}") from None
+
+
 def apply_overrides(cfg: dict, args) -> dict:
     """Flag values (when given) replace their config-file equivalents."""
     for flag, paths in FLAGS[args.command].items():
@@ -176,7 +187,7 @@ def apply_overrides(cfg: dict, args) -> dict:
             continue
         for path in paths.split():
             typ = _key_type(path)
-            items = [v for v in value.split(",") if v] if _is_list(typ) else value
+            items = _parse_flag(value, typ, flag)
             section, _, key = path.rpartition(".")
             (cfg[section] if section else cfg)[key] = _convert(items, typ, f"--{flag}")
     out_env = os.environ.get("BOUNDEDATTN_OUTDIR")

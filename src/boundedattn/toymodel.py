@@ -89,7 +89,6 @@ class ToyModelConfig:
             strategy=spec.strategy,
             n=spec.n,
             temperature=self.temperature,
-            tie_phi_across_layers=self.tie_phi_across_layers,
         )
 
 
@@ -267,7 +266,7 @@ class _Stack:
                 ln = _SITE_LN[name]
                 h, lt[ln] = self._ln(params, x, f"{base}.{ln}")
                 kv = enc_out if name == "cross" else None
-                a, lt[name], _ = mha_forward(h, kv, self.layer_params(params, i, name), att)
+                a, lt[name] = mha_forward(h, kv, self.layer_params(params, i, name), att)
                 x = x + a
             h2, lt["ln2"] = self._ln(params, x, f"{base}.ln2")
             f, lt["ffn"] = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
@@ -749,6 +748,8 @@ def greedy_decode(model, prefix, max_len: int):
     if prefix.ndim == 1:
         prefix = prefix[None, :]
     B, P = prefix.shape
+    if P == 0:
+        raise ValueError("greedy_decode needs a non-empty prefix")
     state = model.init_state(B, capacity=min(P + max_len, model.config.max_positions))
     for t in range(P - 1):
         model.step(prefix[:, t], state)
@@ -818,6 +819,8 @@ class ToySeq2Seq(_Model):
         src = np.asarray(src)
         if src.ndim == 1:
             src = src[None, :]
+        if src.shape[1] == 0:
+            raise ValueError("greedy_decode needs a non-empty source")
         state = self.init_state(src)
         return _greedy_loop(self, state, np.full(src.shape[0], BOS, dtype=np.intp), max_len)
 

@@ -220,11 +220,11 @@ def suite_causality() -> SuiteResult:
             strategy=StrategySpec(kind=kind, **extra), n=4,
         )
         params = init_layer_params(config, make_rng(9))
-        y0, _, _ = mha_forward(X, None, params, config)
+        y0, _ = mha_forward(X, None, params, config)
         for cut in (4, 9):
             X2 = X.copy()
             X2[cut:] += rng.normal(size=(N - cut, d)) * 3.0
-            y1, _, _ = mha_forward(X2, None, params, config)
+            y1, _ = mha_forward(X2, None, params, config)
             worst = max(worst, float(np.abs(y0[:cut] - y1[:cut]).max()))
     return _result("causality", worst, 1e-12, "6 causal-legal strategies", t0)
 

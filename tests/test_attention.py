@@ -37,8 +37,8 @@ def test_identity_control_recovers_softmax_encoder():
                global_positions=tuple(range(N)), d_model=d)
     c_sm = cfg(site="encoder_self", kind="softmax", n=N, d_model=d)
     p = make_params(c_id, seed=3)
-    y_id, _, _ = att.mha_forward(X, None, p, c_id)
-    y_sm, _, _ = att.mha_forward(X, None, p, c_sm)
+    y_id, _ = att.mha_forward(X, None, p, c_id)
+    y_sm, _ = att.mha_forward(X, None, p, c_sm)
     assert np.abs(y_id - y_sm).max() <= 1e-10
 
 
@@ -50,8 +50,8 @@ def test_identity_control_recovers_softmax_causal():
                global_positions=tuple(range(N)), d_model=d)
     c_sm = cfg(site="causal", kind="softmax", n=N, d_model=d)
     p = make_params(c_id, seed=5)
-    y_id, _, _ = att.mha_forward(X, None, p, c_id)
-    y_sm, _, _ = att.mha_forward(X, None, p, c_sm)
+    y_id, _ = att.mha_forward(X, None, p, c_id)
+    y_sm, _ = att.mha_forward(X, None, p, c_sm)
     assert np.abs(y_id - y_sm).max() <= 1e-10
 
 
@@ -74,9 +74,9 @@ STREAMABLE = [
 def _batch_minus_stream(c, N, B=2):
     X = make_rng(42).normal(size=(B, N, c.d_model))
     p = make_params(c, seed=7)
-    y_batch, _, _ = att.mha_forward(X, None, p, c)
+    y_batch, _ = att.mha_forward(X, None, p, c)
     state = att.init_attn_state(c, p, batch=B, capacity=N)
-    outs = [att.mha_forward(X[:, t], None, p, c, state=state)[0] for t in range(N)]
+    outs = [att.stream_step(X[:, t], p, c, state) for t in range(N)]
     return np.abs(y_batch - np.stack(outs, axis=1)).max()
 
 
@@ -141,12 +141,12 @@ def test_cross_batch_equals_cached_memory_decode(kind, extra):
     Xq = rng.normal(size=(B, Nt, d))
     c = cfg(site="cross", kind=kind, n=3, d_model=d, **extra)
     p = make_params(c, seed=9)
-    y_batch, tape, _ = att.mha_forward(Xq, enc, p, c)
+    y_batch, tape = att.mha_forward(Xq, enc, p, c)
     state = att.init_attn_state(c, p, batch=B, capacity=Nt, encoder_out=enc)
     # the decode state caches exactly the memory the batch forward reads
     assert np.array_equal(state.ktilde, tape.arrays["Km"])
     assert np.array_equal(state.vtilde, tape.arrays["Vm"])
-    outs = [att.mha_forward(Xq[:, t], None, p, c, state=state)[0] for t in range(Nt)]
+    outs = [att.stream_step(Xq[:, t], p, c, state) for t in range(Nt)]
     y_stream = np.stack(outs, axis=1)
     assert np.abs(y_batch - y_stream).max() <= 1e-10
 
@@ -193,6 +193,43 @@ def test_learned_decode_step_does_not_copy_the_slot_memory():
     assert peak < 2 * state.ktilde.nbytes
 
 
+@pytest.mark.parametrize("kind", ["window", "dilated"])
+def test_queue_decode_step_does_not_copy_its_queue(kind):
+    # a queue step writes the token into one ring slot; shifting the queue up
+    # a slot instead would copy (and buffer) a whole (B, H, n, d_head) queue
+    import tracemalloc
+
+    B, d, H, n = 4, 256, 4, 32
+    c = cfg(site="causal", kind=kind, n=n, d_model=d, heads=H)
+    p = make_params(c, seed=5)
+    state = att.init_attn_state(c, p, batch=B, capacity=71)
+    X = make_rng(46).normal(size=(71, B, d))
+    for x in X[:70]:
+        att.stream_step(x, p, c, state)
+    tracemalloc.start()
+    try:
+        att.stream_step(X[70], p, c, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < B * H * n * (d // H) * 8
+
+
+@pytest.mark.parametrize("kind,slots", [("softmax", 5), ("mlp", 3), ("window", 3), ("dilated", 6)])
+def test_causal_decode_state_is_one_slot_layout(kind, slots):
+    # capacity slots for softmax, stride * n for a queue, n for an accumulating control
+    c = cfg(site="causal", kind=kind, n=3)
+    p = make_params(c)
+    state = att.init_attn_state(c, p, batch=2, capacity=5)
+    assert state.ktilde.shape == state.vtilde.shape == (2, c.heads, slots, c.d_head)
+    X = make_rng(47).normal(size=(5, 2, c.d_model))
+    for x in X:
+        att.stream_step(x, p, c, state)
+    if kind == "softmax":  # its ring never wraps
+        with pytest.raises(ValueError, match="capacity"):
+            att.stream_step(X[0], p, c, state)
+
+
 # --- causality -------------------------------------------------------------------
 
 
@@ -213,11 +250,11 @@ def test_future_perturbation_leaves_prefix_unchanged(kind, extra):
     X = rng.normal(size=(N, d))
     c = cfg(site="causal", kind=kind, n=4, d_model=d, **extra)
     p = make_params(c, seed=1)
-    y0, _, _ = att.mha_forward(X, None, p, c)
+    y0, _ = att.mha_forward(X, None, p, c)
     cut = 6
     X2 = X.copy()
     X2[cut:] += rng.normal(size=(N - cut, d)) * 5.0
-    y1, _, _ = att.mha_forward(X2, None, p, c)
+    y1, _ = att.mha_forward(X2, None, p, c)
     assert np.abs(y0[:cut] - y1[:cut]).max() <= 1e-12
 
 
@@ -230,10 +267,10 @@ def test_head_independence():
     c = cfg(site="encoder_self", kind="mlp", normalization="sequence", n=3, d_model=d, heads=heads)
     p = make_params(c, seed=2)
     p.wo = np.eye(d)
-    y0, _, _ = att.mha_forward(X, None, p, c)
+    y0, _ = att.mha_forward(X, None, p, c)
     p.wv = p.wv.copy()
     p.wv[: d // heads] = 0.0  # head 0's value rows
-    y1, _, _ = att.mha_forward(X, None, p, c)
+    y1, _ = att.mha_forward(X, None, p, c)
     dh = d // heads
     assert np.abs(y1[:, :dh]).max() <= 1e-12 or np.abs(y0[:, :dh] - y1[:, :dh]).max() > 0
     assert np.abs(y0[:, dh:] - y1[:, dh:]).max() <= 1e-15
@@ -283,7 +320,7 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
     c = cfg(site="encoder_self", kind="mlp", normalization="sequence",
             n=1, heads=1, d_model=d, temperature=1.0)
     p = make_params(c, seed=6)
-    y, _, _ = att.mha_forward(X, None, p, c)
+    y, _ = att.mha_forward(X, None, p, c)
     phi = softmax(X @ p.strategy_weights[0])
     vtilde = phi @ (X @ p.wv.T)
     np.testing.assert_allclose(y, np.tile(vtilde @ p.wo.T, (N, 1)), atol=1e-12)
@@ -298,7 +335,7 @@ def test_causal_mlp_matches_memory_level_normalized_readout():
     X = rng.normal(size=(N, d))
     c = cfg(site="causal", kind="mlp", n=n, d_model=d, heads=2, temperature=1.0)
     p = make_params(c, seed=12)
-    y, _, _ = att.mha_forward(X, None, p, c)
+    y, _ = att.mha_forward(X, None, p, c)
 
     # oracle: per-head recurrence through the memory module
     from boundedattn.memory import step as mem_step, zero_memory
@@ -328,7 +365,7 @@ def test_causal_window_matches_direct_window_attention():
     X = rng.normal(size=(N, d))
     c = cfg(site="causal", kind="window", n=n, d_model=d, heads=2, temperature=1.0)
     p = make_params(c, seed=13)
-    y, _, _ = att.mha_forward(X, None, p, c)
+    y, _ = att.mha_forward(X, None, p, c)
     H, dh = c.heads, c.d_head
     Q = (X @ p.wq.T).reshape(N, H, dh)
     K = (X @ p.wk.T).reshape(N, H, dh)
@@ -345,7 +382,7 @@ def test_causal_window_matches_direct_window_attention():
 
 
 def _loss_through(config, params, X, Xkv, R):
-    y, tape, _ = att.mha_forward(X, Xkv, params, config)
+    y, tape = att.mha_forward(X, Xkv, params, config)
     return float((y * R).sum()), tape
 
 
@@ -416,7 +453,7 @@ def _gradcheck(site, kind, extra, N):
     p = make_params(c, seed=20)
     R = rng.normal(size=(N, d))
 
-    _, tape, _ = att.mha_forward(X, Xkv, p, c)
+    _, tape = att.mha_forward(X, Xkv, p, c)
     grads, dXq, dXkv = att.mha_backward(tape, R)
 
     names = ["wq", "wk", "wv", "wo"] + (["strategy_weights"] if p.strategy_weights is not None else [])
@@ -431,7 +468,7 @@ def _gradcheck(site, kind, extra, N):
 
     # input gradients through the same oracle
     def f_x(flat):
-        y, _, _ = att.mha_forward(flat.reshape(X.shape), Xkv, p, c)
+        y, _ = att.mha_forward(flat.reshape(X.shape), Xkv, p, c)
         return float((y * R).sum())
 
     fd_x = finite_diff_grad(f_x, X.ravel()).reshape(X.shape)
@@ -440,7 +477,7 @@ def _gradcheck(site, kind, extra, N):
 
     if site == "cross":
         def f_kv(flat):
-            y, _, _ = att.mha_forward(X, flat.reshape(Xkv.shape), p, c)
+            y, _ = att.mha_forward(X, flat.reshape(Xkv.shape), p, c)
             return float((y * R).sum())
 
         fd_kv = finite_diff_grad(f_kv, Xkv.ravel()).reshape(Xkv.shape)
@@ -464,17 +501,17 @@ def test_three_chunk_backward_matches_directional_derivatives(kind, extra):
     c = cfg(site="causal", kind=kind, d_model=d, **{"n": 3, **extra})
     p = make_params(c, seed=21)
     X, R = rng.normal(size=(N, d)), rng.normal(size=(N, d))
-    _, tape, _ = att.mha_forward(X, None, p, c)
+    _, tape = att.mha_forward(X, None, p, c)
     grads, dX, _ = att.mha_backward(tape, R)
     grads["X"] = dX
 
     def loss(name, value):
         if name == "X":
-            y, _, _ = att.mha_forward(value, None, p, c)
+            y, _ = att.mha_forward(value, None, p, c)
             return float((y * R).sum())
         base = getattr(p, name)
         setattr(p, name, value)
-        y, _, _ = att.mha_forward(X, None, p, c)
+        y, _ = att.mha_forward(X, None, p, c)
         setattr(p, name, base)
         return float((y * R).sum())
 
@@ -490,7 +527,7 @@ def test_zero_upstream_gives_zero_grads():
     X = rng.normal(size=(6, 8))
     c = cfg(site="causal", kind="mlp", n=3)
     p = make_params(c)
-    _, tape, _ = att.mha_forward(X, None, p, c)
+    _, tape = att.mha_forward(X, None, p, c)
     grads, dX, _ = att.mha_backward(tape, np.zeros((6, 8)))
     for g in grads.values():
         assert np.abs(g).max() == 0.0
@@ -503,7 +540,7 @@ def test_non_learned_strategy_has_no_strategy_gradient():
     c = cfg(site="causal", kind="window", n=3)
     p = make_params(c)
     assert p.strategy_weights is None
-    _, tape, _ = att.mha_forward(X, None, p, c)
+    _, tape = att.mha_forward(X, None, p, c)
     grads, _, _ = att.mha_backward(tape, rng.normal(size=(6, 8)))
     assert "strategy_weights" not in grads
 
@@ -513,7 +550,7 @@ def test_tape_reuse_rejected():
     X = rng.normal(size=(4, 8))
     c = cfg(site="causal", kind="softmax", n=4)
     p = make_params(c)
-    _, tape, _ = att.mha_forward(X, None, p, c)
+    _, tape = att.mha_forward(X, None, p, c)
     att.mha_backward(tape, np.zeros((4, 8)))
     with pytest.raises(RuntimeError):
         att.mha_backward(tape, np.zeros((4, 8)))
@@ -543,14 +580,14 @@ def test_causal_tape_grows_linearly(kind, extra):
     for N in (CHUNK, 4 * CHUNK):
         c = cfg(site="causal", kind=kind, n=4, d_model=16, **extra)
         X = make_rng(53).normal(size=(1, N, 16))
-        _, tape, _ = att.mha_forward(X, None, make_params(c), c)
+        _, tape = att.mha_forward(X, None, make_params(c), c)
         sizes.append(_tape_nbytes(tape))
     assert sizes[1] / sizes[0] <= 4.5
 
 
 def test_queue_tape_keeps_only_readout_weights():
     c = cfg(site="causal", kind="window", n=4)
-    _, tape, _ = att.mha_forward(make_rng(54).normal(size=(20, 8)), None, make_params(c), c)
+    _, tape = att.mha_forward(make_rng(54).normal(size=(20, 8)), None, make_params(c), c)
     cache = tape.arrays["cache"]
     assert list(cache) == ["a"] and cache["a"].shape == (1, 2, 20, 4)
 
@@ -605,7 +642,7 @@ def test_site_legality_matrix(kind, site):
     rng = make_rng(70)
     X = rng.normal(size=(2, 6, 8))
     Xkv = rng.normal(size=(2, 7, 8)) if site == "cross" else None
-    y, tape, _ = att.mha_forward(X, Xkv, make_params(c), c)
+    y, tape = att.mha_forward(X, Xkv, make_params(c), c)
     assert y.shape == X.shape and np.isfinite(y).all()
     grads, _, _ = att.mha_backward(tape, np.ones_like(y))
     assert ("strategy_weights" in grads) == (kind in ("mlp", "linformer"))
@@ -625,5 +662,5 @@ def test_linformer_rejects_sequences_beyond_fixed_length():
     with pytest.raises(ValueError):
         att.mha_forward(rng.normal(size=(9, 8)), None, p, c)
     # shorter sequences use a prefix of the learned columns
-    y, _, _ = att.mha_forward(rng.normal(size=(5, 8)), None, p, c)
+    y, _ = att.mha_forward(rng.normal(size=(5, 8)), None, p, c)
     assert y.shape == (5, 8)

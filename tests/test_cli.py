@@ -292,6 +292,18 @@ def test_decode_loads_a_sidecar_written_before_the_derived_schema(tmp_path, caps
     assert capsys.readouterr().out == tokens
 
 
+def test_decode_rejects_a_sidecar_string_for_a_number(tmp_path, capsys):
+    cfg = tiny_train_cfg(tmp_path)
+    assert run(["train", "--config", str(cfg)]) == 0
+    ckpt = tmp_path / "out" / "model.bin"
+    sidecar = json.loads(json.dumps(OLD_SIDECAR))
+    sidecar["model"]["layers"] = "1"
+    (tmp_path / "out" / "model.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run(["decode", "--ckpt", str(ckpt), "--prefix", "0,2"]) == 2
+    assert "model.layers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, bad, name", [
     (["train", "--n", "abc"], {}, "--n"),
     (["bench", "--lens", "8,x"], {}, "--lens"),
@@ -302,8 +314,11 @@ def test_decode_loads_a_sidecar_written_before_the_derived_schema(tmp_path, caps
     (["train"], {"model": {"warmup_steps": 2.7}}, "model.warmup_steps"),
     (["train"], {"model": {"layers": True}}, "model.layers"),
     (["train"], {"model": {"lr": True}}, "model.lr"),
+    (["train"], {"model": {"layers": "3"}}, "model.layers"),
+    (["train"], {"model": {"lr": "1e-2"}}, "model.lr"),
 ], ids=["train-n", "bench-lens", "decode-prefix", "out_dir", "model.temperature",
-        "bool-from-string", "int-from-fraction", "int-from-bool", "float-from-bool"])
+        "bool-from-string", "int-from-fraction", "int-from-bool", "float-from-bool",
+        "int-from-string", "float-from-string"])
 def test_bad_value_exits_two_naming_its_flag_or_key(tmp_path, capsys, argv, bad, name):
     path = tiny_train_cfg(tmp_path)
     cfg = json.loads(path.read_text())

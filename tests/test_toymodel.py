@@ -242,6 +242,12 @@ def test_greedy_decode_streaming_matches_batch_recompute():
     np.testing.assert_array_equal(got, seq[:, 5:])
 
 
+def test_greedy_decode_rejects_an_empty_prefix():
+    model = tm.ToyLM(lm_config(kind="window", n=3))
+    with pytest.raises(ValueError, match="non-empty prefix"):
+        tm.greedy_decode(model, np.zeros((2, 0), dtype=np.intp), 4)
+
+
 def test_dense_weights_are_c_contiguous_d_out_by_d_in():
     cfg = seq2seq_config()
     d, f, vocab = cfg.d_model, cfg.ffn_mult * cfg.d_model, cfg.vocab
@@ -315,6 +321,12 @@ def test_seq2seq_streaming_decode_matches_batch_mixed_sites():
     _check_seq2seq_streaming_decode(
         seq2seq_config(enc_kind="softmax", causal_kind="window", cross_kind="cluster")
     )
+
+
+def test_seq2seq_greedy_decode_rejects_an_empty_source():
+    model = tm.ToySeq2Seq(seq2seq_config(), rng=make_rng(4))
+    with pytest.raises(ValueError, match="non-empty source"):
+        tm.greedy_decode(model, np.zeros((2, 0), dtype=np.intp), 4)
 
 
 def test_dropped_models_are_freed_without_the_cycle_collector():
