@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,9 +139,15 @@ class AttentionConfig:
         causal = self.site == "causal"
         if not (control.causal if causal else control.sequence):
             raise ValueError(f"{self.strategy.kind} control is illegal at the {self.site} site")
+        if not isinstance(control, st.MlpControl):
+            return
         wrong = "sequence" if causal else "prefix"
-        if isinstance(control, st.MlpControl) and self.strategy.normalization == wrong:
+        if self.strategy.normalization == wrong:
             raise ValueError(f"{wrong} normalization does not fit the {self.site} site")
+        if causal and control.activation == "relu":
+            # a slot's prefix normalizer is zero until its first positive
+            # pre-activation, and the readout divides by it
+            raise ValueError("strategy.activation 'relu' is illegal at the causal site")
 
     @property
     def control(self) -> st.Control | None:
@@ -759,7 +766,9 @@ class AttnState:
     forward reads, built once from the encoder output, and never changes.
 
     ``size_bytes`` counts every ndarray field (the softmax cache up to the
-    filled length).
+    filled length).  A causal state's arrays each sit in an anonymous
+    mapping of their own (:func:`init_attn_state`), so the resident bytes
+    are the slots its steps have written, and a dropped state returns them.
     """
 
     config: AttentionConfig
@@ -784,6 +793,18 @@ class AttnState:
         return sum(a.nbytes for a in arrays) // arrays[0].shape[0]
 
 
+def _mapped_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A zero float64 array of ``shape`` in an anonymous mapping of its own.
+
+    The kernel backs a page of it only when that page is first written, and
+    takes every page back when the array is dropped.
+    """
+    nbytes = math.prod(shape) * 8
+    if nbytes == 0:
+        return np.zeros(shape)
+    return np.frombuffer(mmap.mmap(-1, nbytes), dtype=np.float64).reshape(shape)
+
+
 def init_attn_state(
     config: AttentionConfig,
     params: LayerParams,
@@ -791,7 +812,16 @@ def init_attn_state(
     capacity: int,
     encoder_out: np.ndarray | None = None,
 ) -> AttnState:
-    """Fresh decode state; for cross sites this builds and caches the memory."""
+    """Fresh decode state; for cross sites this builds and caches the memory.
+
+    A causal state's arrays are each mapped on their own (``_mapped_zeros``),
+    not taken from the heap.  A decode loop builds the next state while the
+    last is still referenced; once glibc serves multi-megabyte arrays from
+    the heap (its dynamic mmap threshold has risen, or ``adam_init`` set its
+    policy), the new rings would fill beside the old ones, whose pages stay
+    resident as free heap after they are dropped.  A cross state is
+    computed, not zero-filled, so it stays an ordinary array.
+    """
     H, dh, n = config.heads, config.d_head, config.n
     control = config.control
     if config.site == "cross":
@@ -808,8 +838,8 @@ def init_attn_state(
         raise ValueError("only causal and cross sites have decode state")
     slots = capacity if control is None else max(control.stride, 1) * n
     shape = (batch, H, slots, dh)
-    norm = None if control is None or control.stride else np.zeros((batch, H, n))
-    return AttnState(config=config, ktilde=np.zeros(shape), vtilde=np.zeros(shape), norm=norm)
+    norm = None if control is None or control.stride else _mapped_zeros((batch, H, n))
+    return AttnState(config=config, ktilde=_mapped_zeros(shape), vtilde=_mapped_zeros(shape), norm=norm)
 
 
 def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnState) -> np.ndarray:

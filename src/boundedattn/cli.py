@@ -211,7 +211,12 @@ def model_config_from(cfg: dict) -> tm.ToyModelConfig:
     cfg = _typed(cfg)
     spec = _build("strategy", cfg["strategy"])
     causal = tm.SiteSpec(spec, cfg["strategy"]["n"])
-    return _build("model", cfg["model"], causal=causal, seed=cfg["seed"])
+    model_cfg = _build("model", cfg["model"], causal=causal, seed=cfg["seed"])
+    try:
+        model_cfg.site_config("causal")  # the strategy must fit the causal site
+    except ValueError as e:
+        raise ConfigError(str(e))
+    return model_cfg
 
 
 def _outdir(cfg) -> Path:
@@ -231,9 +236,10 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {args.suite!r}; available: {', '.join(SUITES)}", file=sys.stderr)
         return 2
     for r in results:
-        print(r.line())
+        print(json.dumps(dataclasses.asdict(r)) if args.json else r.line())
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed")
+    if not args.json:
+        print(f"{len(results) - len(failed)}/{len(results)} suites passed")
     return 1 if failed else 0
 
 
@@ -329,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run equivalence/causality/gradient suites")
     pv.add_argument("--suite", help=f"one of: {', '.join(SUITES)}")
+    pv.add_argument("--json", action="store_true", help="one JSON object per suite")
 
     for command, (_, help_text) in COMMANDS.items():
         pc = sub.add_parser(command, help=help_text)

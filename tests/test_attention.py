@@ -222,12 +222,18 @@ def test_causal_decode_state_is_one_slot_layout(kind, slots):
     p = make_params(c)
     state = att.init_attn_state(c, p, batch=2, capacity=5)
     assert state.ktilde.shape == state.vtilde.shape == (2, c.heads, slots, c.d_head)
+    for a in (state.ktilde, state.vtilde, state.norm):  # each its own mapping
+        if a is not None:
+            assert a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable
+            assert not a.any()
     X = make_rng(47).normal(size=(5, 2, c.d_model))
     for x in X:
         att.stream_step(x, p, c, state)
     if kind == "softmax":  # its ring never wraps
         with pytest.raises(ValueError, match="capacity"):
             att.stream_step(X[0], p, c, state)
+        empty = att.init_attn_state(c, p, batch=2, capacity=0)
+        assert empty.ktilde.shape == (2, c.heads, 0, c.d_head) and empty.size_bytes() == 0
 
 
 # --- causality -------------------------------------------------------------------
@@ -614,6 +620,15 @@ def test_config_rejects_future_peeking_causal_strategies():
             heads=3, d_model=8, d_head=4, site="causal",
             strategy=att.StrategySpec(kind="softmax"), n=4,
         )
+
+
+def test_config_rejects_a_relu_control_only_at_the_causal_site():
+    # its prefix normalizer is zero until a slot's first positive pre-activation
+    with pytest.raises(ValueError, match="strategy.activation"):
+        cfg(site="causal", kind="mlp", activation="relu", n=3)
+    for site in ("encoder_self", "cross"):
+        cfg(site=site, kind="mlp", activation="relu", n=3)
+    cfg(site="causal", kind="mlp", activation="sigmoid", n=3)
 
 
 def _readme_site_table():

@@ -177,20 +177,34 @@ def test_bench_failed_cell_exits_one_with_its_cause(tmp_path, monkeypatch, capsy
     assert rows[1].endswith(",") and rows[2].endswith(",ValueError: forced failure")
 
 
-def test_diverging_training_exits_one(tmp_path, capsys):
-    # relu control in causal mode: some slot's running normalizer is exactly
-    # zero at the first step, a non-finite readout the trainer must report
-    cfg_path = tmp_path / "diverge.json"
-    cfg_path.write_text(json.dumps({
-        "out_dir": str(tmp_path / "out"),
-        "model": {"layers": 1, "d_model": 16, "heads": 2, "ffn_mult": 2, "vocab": 16,
-                  "max_positions": 16, "warmup_steps": 0, "batch_size": 2},
-        "strategy": {"kind": "mlp", "n": 32, "activation": "relu"},
-        "train": {"task": "copy", "steps": 5, "min_len": 4, "max_len": 4, "vocab": 16},
-    }))
-    code = run(["train", "--config", str(cfg_path)])
+def test_diverging_training_exits_one(tmp_path, capsys, monkeypatch):
+    # a non-finite loss at the first step, which the trainer must report
+    def nan_loss(logits, tokens, mask):
+        return float("nan"), 0.0, np.zeros_like(logits)
+
+    monkeypatch.setattr("boundedattn.toymodel.next_token_loss", nan_loss)
+    code = run(["train", "--config", str(tiny_train_cfg(tmp_path))])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_relu_control_at_the_causal_site_is_a_config_error(tmp_path, capsys):
+    # its prefix normalizer is zero until a slot's first positive pre-activation
+    cfg = tiny_train_cfg(tmp_path, strategy={"kind": "mlp", "n": 32, "activation": "relu"})
+    assert run(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "strategy.activation" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_json_prints_one_object_per_suite(capsys):
+    assert run(["verify", "--json", "--suite", "param-tying"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {"name", "passed", "max_err", "tolerance", "seconds", "detail"}
+    assert record["name"] == "param-tying" and record["passed"] is True
+    assert run(["verify", "--json", "--suite", "nope"]) == 2
 
 
 # The config schema as it was written out by hand before cli.py derived it

@@ -1,5 +1,10 @@
 import gc
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -289,6 +294,90 @@ def test_softmax_state_grows_with_decoded_length():
     dh = cfg.d_model // cfg.heads
     per_tok = cfg.layers * cfg.heads * 2 * dh * 8
     assert sizes == [per_tok * (t + 1) for t in range(8)]
+
+
+BOUNDED_CAUSAL = ("window", "dilated", "mlp", "linformer", "random", "compressive", "local_to_global")
+
+
+def _step_peak(model, state, tok):
+    """tracemalloc peak of one decode step, above what was traced before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.step(tok, state)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", BOUNDED_CAUSAL + ("softmax",))
+def test_decode_step_work_is_constant_for_every_bounded_causal_kind(kind):
+    # the peak memory one step allocates, early and at the end of a long
+    # decode: flat for a bounded state, growing with the softmax cache
+    N, n = 2048, 8
+    cfg = lm_config(kind=kind, n=n, d_model=32, heads=2, max_positions=N, max_len=N, ratio=N // n)
+    model = tm.ToyLM(cfg, rng=make_rng(0))
+    tokens = make_rng(1).integers(0, cfg.vocab, size=(2, N))
+    state = model.init_state(batch=2, capacity=N)
+    for t in range(16):
+        model.step(tokens[:, t], state)
+    early = _step_peak(model, state, tokens[:, 16])
+    for t in range(17, N - 1):
+        model.step(tokens[:, t], state)
+    late = _step_peak(model, state, tokens[:, N - 1])
+    if kind == "softmax":
+        assert late > 4 * early, (early, late)
+    else:
+        assert abs(late - early) <= 256, (early, late)
+
+
+# Decodes a softmax ToyLM with 16 MB of rings to capacity four times, each
+# pass building the next state while the last one is still referenced, and
+# prints the current RSS after the first fresh state and after each pass.
+_RSS_SCRIPT = textwrap.dedent("""
+    import os, sys
+    from boundedattn import toymodel as tm
+    from boundedattn.attention import StrategySpec
+    from boundedattn.numerics import make_rng
+
+    def rss():
+        with open("/proc/self/statm") as f:
+            return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+    B, T = 16, 256
+    cfg = tm.ToyModelConfig(layers=1, d_model=256, heads=4, ffn_mult=1, vocab=8, max_positions=T,
+                            causal=tm.SiteSpec(StrategySpec(kind="softmax"), 1))
+    model = tm.ToyLM(cfg, rng=make_rng(0))
+    if sys.argv[1] == "adam":
+        tm.adam_init(model)
+    tokens = make_rng(1).integers(0, 8, size=(B, T))
+    start = rss()
+    state = model.init_state(batch=B, capacity=T)
+    print(sum(s.ktilde.nbytes + s.vtilde.nbytes for s in state.attn))
+    print(rss() - start)
+    for _ in range(4):
+        state = model.init_state(batch=B, capacity=T)
+        for t in range(T):
+            model.step(tokens[:, t], state)
+        print(rss() - start)
+""")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+@pytest.mark.parametrize("heap", ["default", "adam"])
+def test_dropped_decode_state_returns_its_memory(heap):
+    # from the heap, the next state's rings would fill beside the dropped
+    # ones, whose pages stay resident: two softmax caches from the third pass
+    import boundedattn
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(boundedattn.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", _RSS_SCRIPT, heap], env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    full, fresh, *passes = (int(v) for v in out)
+    assert full >= 16 << 20
+    assert fresh < 1 << 20, f"a fresh state added {fresh} bytes"
+    assert max(passes) <= 1.25 * full, f"RSS above start per pass / full state: {[p / full for p in passes]}"
 
 
 def test_overlong_and_invalid_tokens_rejected():
