@@ -175,9 +175,14 @@ class LayerParams:
 
 @dataclass
 class GradTape:
-    """Primal intermediates recorded by one forward; consumed by one backward."""
+    """Primal intermediates recorded by one forward; consumed by one backward.
 
-    config: AttentionConfig
+    ``take`` hands the arrays to that backward and leaves the tape empty, so
+    the backward can drop each one after its last use.  ``config`` is the
+    attention config of an attention tape, None on a model's tape.
+    """
+
+    config: AttentionConfig | None
     arrays: dict = field(default_factory=dict)
     consumed: bool = False
 
@@ -185,7 +190,8 @@ class GradTape:
         if self.consumed:
             raise RuntimeError("gradient tape already consumed by a backward pass")
         self.consumed = True
-        return self.arrays
+        arrays, self.arrays = self.arrays, {}
+        return arrays
 
 
 def draw_weight(
@@ -338,14 +344,35 @@ def _head_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _swap(np.matmul(_swap(y.reshape(b, -1, y.shape[-1])), x.reshape(b, -1, x.shape[-1])))
 
 
+def _masked_gram(X, Y, mask):
+    """X Y^T per chunk and head, (B*nc, H, c, c), kept where i <= t."""
+    P = np.matmul(X, _swap(Y))
+    P *= mask
+    return P
+
+
+def _masked_slot_gram(G, A, mask):
+    """G A^T per chunk, (B*nc, H, c, c), kept where i <= t: the (B*nc, H, c,
+    n) rows G of every head against the chunk's (B*nc, c, n) control rows A."""
+    Bnc, H, c, n = G.shape
+    W = np.matmul(G.reshape(Bnc, H * c, n), _swap(A)).reshape(Bnc, H, c, c)
+    W *= mask
+    return W
+
+
 def _additive_causal_forward(Q, K, V, A, normalize, tau):
     # Chunkwise scan of the recurrence ktilde_t = ktilde_{t-1} + alpha_t (x) k_t.
     # Inside a chunk the raw slot score of step t is the masked parallel form
-    # sum_{i<=t} (q_t . k_i) A[i], over that chunk's tokens only; each later
-    # chunk adds q_t . ktilde for the memory the earlier chunks left behind
-    # (their A_c^T K_c, summed over chunks).  The learned control
-    # (normalize) divides by the running per-slot weight S_t; a constant
-    # control instead masks the slots it has not written yet.
+    # sum_{i<=t} P[t, i] A[i], with P[t, i] = q_t . k_i, over that chunk's
+    # tokens only; each later chunk adds q_t . ktilde for the memory the
+    # earlier chunks left behind (their A_c^T K_c, summed over chunks).  The
+    # learned control (normalize) divides by the running per-slot weight S_t;
+    # a constant control instead masks the slots it has not written yet.  The
+    # readout weight of chunk token i at step t is W2[t, i] = g_t . A[i]
+    # (i <= t), with g = a / S.  The tape keeps only what the backward reads:
+    # a, A, the mask, the carried memory and, for the learned control, s and
+    # S.  The backward recomputes P, g and W2 with these same calls, so it
+    # reads the same bits.
     B, H, N, _ = Q.shape
     n = A.shape[2]
     c, nc = _chunking(N)
@@ -358,13 +385,10 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
             raise NumericError("prefix normalizer hit zero (no weight written yet)")
         S = S.reshape(B * nc, 1, c, n)
     else:
-        S = None
         written = (np.cumsum(np.abs(A[0]), axis=0) > 0.0).reshape(nc, 1, c, n)
     A = A.reshape(B * nc, c, n)
     mask = np.tril(np.ones((c, c)))
-    P = np.matmul(Q, _swap(K))
-    P *= mask
-    s = np.matmul(P.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
+    s = np.matmul(_masked_gram(Q, K, mask).reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     kmem = vmem = None
     if nc > 1:
         # memory entering chunks 1..nc-1: (B, nc-1, H, n, d_head)
@@ -380,58 +404,63 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
         _mask_unwritten(_by_chunk(s, B), written)
     a = softmax_rows(s)
     g = a / S if normalize else a
-    W2 = np.matmul(g.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
-    W2 *= mask
-    out = np.matmul(W2, V)
+    out = np.matmul(_masked_slot_gram(g, A, mask), V)
     if nc > 1:
         later = _by_chunk(out, B)[:, 1:]
         later += np.matmul(_by_chunk(g, B)[:, 1:], vmem)
-    cache = {"P": P, "a": a, "s": s, "g": g, "W2": W2, "S": S, "A": A, "mask": mask,
-             "kmem": kmem, "vmem": vmem}
+    cache = {"a": a, "A": A, "mask": mask, "kmem": kmem, "vmem": vmem}
+    if normalize:
+        cache.update(s=s, S=S)
     return _chunks_to_heads(out, B, N), cache
 
 
 def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau, grad_A):
     # grad_A: the control has weights, so the gradient reaches A (dA is None
-    # otherwise)
-    P, a, s, g, W2 = cache["P"], cache["a"], cache["s"], cache["g"], cache["W2"]
-    S, A, mask = cache["S"], cache["A"], cache["mask"]
+    # otherwise).  The cache is taken apart, and each array here is dropped
+    # after its last use; W2, g and P are recomputed next to their use.
+    a, s, S = cache.pop("a"), cache.pop("s", None), cache.pop("S", None)
+    A, mask, kmem, vmem = (cache.pop(k) for k in ("A", "mask", "kmem", "vmem"))
     B, H, N, _ = dout.shape
     c, n = A.shape[1:]
     nc = A.shape[0] // B
     dout, Q, K, V = (_heads_to_chunks(x, c, nc) for x in (dout, Q, K, V))
-    dW2 = np.matmul(dout, _swap(V))
-    dW2 *= mask
-    dV = np.matmul(_swap(W2), dout)
+    g = a / S if normalize else a
+    dV = np.matmul(_swap(_masked_slot_gram(g, A, mask)), dout)
+    dW2 = _masked_gram(dout, V, mask)
     dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     if grad_A:
         dA = _head_sum(dW2, g)
+    del dW2
     if nc > 1:
         later = _by_chunk(dg, B)[:, 1:]
-        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(cache["vmem"]))
+        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(vmem))
         dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
+    del dout, vmem
     # dg's buffer becomes da, then ds, then dC
     if normalize:
         t = dg * g  # scratch for dg * g, then ds * s
         dS = -np.sum(t, axis=1, keepdims=True)
         dS /= S  # g = a / S
         dg /= S
+    del g
     softmax_rows_backward(a, dg, out=dg)
+    del a
     if normalize:
         dS -= np.sum(np.multiply(dg, s, out=t), axis=1, keepdims=True) / S  # s = C / (S tau)
         dg /= S * tau
+        del s, t
     else:
         dg /= tau
     dC = dg
-    dP = np.matmul(dC.reshape(B * nc, H * c, n), _swap(A)).reshape(B * nc, H, c, c)
-    dP *= mask
     if grad_A:
-        dA += _head_sum(P, dC)
+        dA += _head_sum(_masked_gram(Q, K, mask), dC)
+    dP = _masked_slot_gram(dC, A, mask)
     dQ = np.matmul(dP, K)
     dK = np.matmul(_swap(dP), Q)
+    del dP
     if nc > 1:
         later = _by_chunk(dQ, B)[:, 1:]
-        later += np.matmul(_by_chunk(dC, B)[:, 1:], cache["kmem"])
+        later += np.matmul(_by_chunk(dC, B)[:, 1:], kmem)
         dkmem = np.matmul(_swap(_by_chunk(dC, B)[:, 1:]), _by_chunk(Q, B)[:, 1:])
         # chunk j's writes reach the memory of every chunk after it
         dkw = _chunk_cumsum(dkmem, reverse=True)
@@ -442,9 +471,10 @@ def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau, grad_A):
         earlier = _by_chunk(dV, B)[:, :-1]
         earlier += np.matmul(A_w, dvw)
         if grad_A:
-            K_w, V_w = _by_chunk(K, B)[:, :-1], _by_chunk(V, B)[:, :-1]
             earlier = _by_chunk(dA, B)[:, :-1]
-            earlier += (np.matmul(K_w, _swap(dkw)) + np.matmul(V_w, _swap(dvw))).sum(axis=2)
+            earlier += (np.matmul(_by_chunk(K, B)[:, :-1], _swap(dkw))
+                        + np.matmul(_by_chunk(V, B)[:, :-1], _swap(dvw))).sum(axis=2)
+    del dC, dg, Q, K, V
     dQ, dK, dV = (_chunks_to_heads(x, B, N) for x in (dQ, dK, dV))
     if not grad_A:
         return dQ, dK, dV, None
@@ -518,20 +548,26 @@ def _queue_causal_forward(Q, K, V, n, stride, tau):
 
 
 def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
-    a = cache["a"]
+    # each array is dropped after its last use
+    a = cache.pop("a")
     B, H, N, n = a.shape
     dh = Q.shape[-1]
     c, nc = _chunking(N)
     h = stride * (n - 1)
     Qc, dc = (_pad_time(x, nc * c, axis=2).reshape(B, H, nc, c, dh) for x in (Q, dout))
     Kw, Vw = (_windows(x, c, nc, h) for x in (K, V))
+    del dout, Q, K, V
     da = _band(np.matmul(dc, _swap(Vw)), n, stride).reshape(B, H, nc * c, n)[:, :, :N]
     W = _put_band(np.zeros((B, H, nc, c, c + h)), a, stride)
     dV = _overlap_add(np.matmul(_swap(W), dc), h, N)
-    ds = softmax_rows_backward(a, da)
-    ds /= tau
-    _put_band(W, ds, stride)  # the same band: W now holds ds
+    del dc, Vw
+    softmax_rows_backward(a, da, out=da)  # da's buffer becomes ds
+    del a
+    da /= tau
+    _put_band(W, da, stride)  # the same band: W now holds ds
+    del da
     dQ = np.matmul(W, Kw).reshape(B, H, nc * c, dh)[:, :, :N]
+    del Kw
     dK = _overlap_add(np.matmul(_swap(W), Qc), h, N)
     return dQ, dK, dV
 
@@ -547,12 +583,14 @@ def _softmax_forward(Q, K, V, tau, causal):
 
 
 def _softmax_backward(dout, Q, K, V, cache, tau):
-    a = cache["a"]
+    a = cache.pop("a")
     da = np.matmul(dout, V.transpose(0, 1, 3, 2))
     dV = np.matmul(a.transpose(0, 1, 3, 2), dout)
-    ds = softmax_rows_backward(a, da) / tau
-    dQ = np.matmul(ds, K)
-    dK = np.matmul(ds.transpose(0, 1, 3, 2), Q)
+    softmax_rows_backward(a, da, out=da)  # da's buffer becomes ds
+    del a
+    da /= tau
+    dQ = np.matmul(da, K)
+    dK = np.matmul(da.transpose(0, 1, 3, 2), Q)
     return dQ, dK, dV
 
 
@@ -580,14 +618,14 @@ def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: di
     """Control over a whole key/value sequence (the encoder_self and cross sites).
 
     (B, Nk, n), or (B, H, Nk, n) for cluster control; the mlp strategy's
-    pre-activations and normalizer go into ``tape`` for its backward.
+    pre-activations and normalizer go into ``tape`` for its backward.  A
+    slot that no token writes gets a zero phi column
+    (:func:`strategies.sequence_normalizer`).
     """
     control = config.control
     if isinstance(control, st.MlpControl):
         Z, alpha = _mlp_alpha(control, Xkv, params.strategy_weights)
-        total = alpha.sum(axis=1)  # (B, n)
-        if np.any(total <= 0.0):
-            raise NumericError("sequence normalizer has a zero entry")
+        total = st.sequence_normalizer(alpha, axis=1)  # (B, n)
         tape.update(Z=Z, alpha=alpha, total=total)
         return alpha / total[:, None, :]
     if isinstance(control, st.ClusterControl):
@@ -670,38 +708,41 @@ def mha_backward(tape: GradTape, d_out):
     sites (already folded into dXq).
     """
     config = tape.config
-    ar = tape.take()
+    ar = tape.take()  # popped below, so each array goes after its last use
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.ndim == 2:
         d_out = d_out[None, :, :]
-    Xq, Xkv, Q, K, V, O = ar["Xq"], ar["Xkv"], ar["Q"], ar["K"], ar["V"], ar["O"]
     H, tau = config.heads, config.tau
-    cache = ar["cache"]
+    cache = ar.pop("cache")
 
-    dwo = fold_outer(d_out, O)
-    dO = d_out @ ar["wo"]
-    dout_h = _split_heads(dO, H)
+    dwo = fold_outer(d_out, ar.pop("O"))
+    dout_h = _split_heads(d_out @ ar["wo"], H)
 
     dA = None
     family = ar["family"]
     if family == "softmax":
-        dQ, dK, dV = _softmax_backward(dout_h, Q, ar["Km"], ar["Vm"], cache, tau)
+        K, V = ar.pop("K"), ar.pop("V")
+        dQ, dK, dV = _softmax_backward(dout_h, ar.pop("Q"), ar.pop("Km"), ar.pop("Vm"), cache, tau)
         if "phi" in ar:
             dK, dV, dA = _slot_memory_backward(ar["phi"], K, V, dK, dV)
+        del K, V
         if "total" in ar:  # learned control, phi = alpha / total over the sequence
             dphi, total = dA, ar["total"]
             dA = dphi / total[:, None, :]
             dtotal = -np.sum(dphi * ar["phi"], axis=1) / total
             dA += dtotal[:, None, :]
     elif family == "queue":
-        dQ, dK, dV = _queue_causal_backward(dout_h, Q, K, V, cache, config.control.stride, tau)
+        dQ, dK, dV = _queue_causal_backward(
+            dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, config.control.stride, tau)
     else:
         dQ, dK, dV, dA = _additive_causal_backward(
-            dout_h, Q, K, V, cache, ar["normalize"], tau, ar["sw"] is not None)
+            dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, ar["normalize"], tau,
+            ar["sw"] is not None)
+    del dout_h
 
-    dQf = _merge_heads(dQ)
-    dKf = _merge_heads(dK)
-    dVf = _merge_heads(dV)
+    dQf, dKf, dVf = _merge_heads(dQ), _merge_heads(dK), _merge_heads(dV)
+    del dQ, dK, dV
+    Xq, Xkv = ar.pop("Xq"), ar.pop("Xkv")
     grads = {
         "wq": fold_outer(dQf, Xq),
         "wk": fold_outer(dKf, Xkv),

@@ -36,7 +36,7 @@ from typing import ClassVar
 import numpy as np
 
 from .memory import BoundedMemory, TransitionOp, step
-from .numerics import NumericError, as_matrix, as_vector, check_finite, make_rng
+from .numerics import as_matrix, as_vector, check_finite, make_rng
 
 EXP_CLAMP = 30.0  # training-path guard for exp(); equivalence paths never clamp
 
@@ -266,12 +266,19 @@ def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray, activation: str = "exp"
 
     alpha_i = act(W x_i), phi_i = alpha_i / sum_j alpha_j (per slot), so the
     control weights written to each slot sum to exactly one over the sequence.
+    A slot that no token writes (relu: every pre-activation <= 0) keeps a
+    zero column, so its memory row is the zero key/value pair.
     """
     alphas = activation_forward(activation, as_matrix(X) @ as_matrix(weights).T)
-    total = alphas.sum(axis=0)
-    if np.any(total <= 0.0):
-        raise NumericError("sequence normalizer has a zero entry")
-    return alphas / total
+    return alphas / sequence_normalizer(alphas, axis=0)
+
+
+def sequence_normalizer(alphas: np.ndarray, axis: int) -> np.ndarray:
+    """Per-slot sum of the non-negative raw weights ``alphas`` over ``axis``,
+    1 where it is 0, so that a slot no token writes divides 0 by 1."""
+    total = alphas.sum(axis=axis)
+    total[total == 0.0] = 1.0
+    return total
 
 
 def phi_mlp_prefix(

@@ -12,7 +12,8 @@ name -> array dict (every array 2-D), which keeps the optimizer, the
 gradient checks and the checkpoint container uniform.  The backward pass is
 the same manual chain style as the attention module.  The tapes hold only
 what the backward reads: layer norm keeps (xhat, 1/std, g), the FFN keeps
-(h, r), its input and its ReLU output, whose sign is the ReLU's mask.
+(h, r), its input and its ReLU output, whose sign is the ReLU's mask.  The
+backward pops each layer's tapes as it reads them.
 
 Training tasks are synthetic (copy, reverse) or a character LM over a plain
 UTF-8 corpus.  Sequences reserve token 0 as BOS and token 1 as the separator;
@@ -29,6 +30,7 @@ import numpy as np
 from .attention import (
     AttentionConfig,
     AttnState,
+    GradTape,
     LayerParams,
     StrategySpec,
     draw_weight,
@@ -276,21 +278,24 @@ class _Stack:
         return out, {"layers": layers, "final_ln": final}
 
     def backward(self, params, tape, d_out, grads):
-        """Accumulates into ``grads``; returns (dx, d_enc summed over cross sites)."""
-        dx, dg, db = layer_norm_backward(d_out, tape["final_ln"])
-        grads[f"{self.final_ln}.g"] += dg
-        grads[f"{self.final_ln}.b"] += db
+        """Accumulates into ``grads``; returns (dx, d_enc summed over cross sites).
+
+        Pops each tape as it reads it: a layer's FFN and layer-norm tapes are
+        gone before its attention backward runs.
+        """
+        dx = self._ln_backward(grads, d_out, tape.pop("final_ln"), self.final_ln)
+        layers = tape.pop("layers")
         d_enc = None
         for i in reversed(range(self.layers)):
             base = f"{self.prefix}{i}"
-            lt = tape["layers"][i]
+            lt = layers.pop()
             w1, w2 = f"{base}.ffn.w1", f"{base}.ffn.w2"
-            dh2, dw1, dw2 = ffn_backward(dx, lt["ffn"], params[w1], params[w2])
+            dh2, dw1, dw2 = ffn_backward(dx, lt.pop("ffn"), params[w1], params[w2])
             grads[w1] += dw1
             grads[w2] += dw2
-            dx = dx + self._ln_backward(grads, dh2, lt["ln2"], f"{base}.ln2")
+            dx = dx + self._ln_backward(grads, dh2, lt.pop("ln2"), f"{base}.ln2")
             for name, _ in reversed(self.sites):
-                agrads, dh, denc_i = mha_backward(lt[name], dx)
+                agrads, dh, denc_i = mha_backward(lt.pop(name), dx)
                 for w in _PROJ:
                     grads[f"{base}.{name}.{w}"] += agrads[w]
                 key = self.sw_keys[name][i]
@@ -299,7 +304,7 @@ class _Stack:
                 if denc_i is not None:
                     d_enc = denc_i if d_enc is None else d_enc + denc_i
                 ln = _SITE_LN[name]
-                dx = dx + self._ln_backward(grads, dh, lt[ln], f"{base}.{ln}")
+                dx = dx + self._ln_backward(grads, dh, lt.pop(ln), f"{base}.{ln}")
         return dx, d_enc
 
     @staticmethod
@@ -422,10 +427,12 @@ class ToyLM(_Model):
         tokens, x = self._embed(tokens)
         xf, tape = self.stack.forward(self.params, x)
         tape.update(tokens=tokens, xf=xf)
-        return check_finite(xf @ self.params["out_w"].T, "logits"), tape
+        return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
 
-    def backward(self, tape, dlogits) -> dict[str, np.ndarray]:
-        grads, dxf = self._head_backward(tape["xf"], dlogits)
+    def backward(self, tape: GradTape, dlogits) -> dict[str, np.ndarray]:
+        """Gradients of one ``forward``; a tape is consumed by its first backward."""
+        tape = tape.take()
+        grads, dxf = self._head_backward(tape.pop("xf"), dlogits)
         dx, _ = self.stack.backward(self.params, tape, dxf, grads)
         self._embed_backward(grads, (tape["tokens"], dx))
         return grads
@@ -793,12 +800,14 @@ class ToySeq2Seq(_Model):
         tgt, x = self._embed(tgt)
         xf, tape = self.dec_stack.forward(self.params, x, enc_out)
         tape.update(enc=enc_tape, tokens=tgt, xf=xf)
-        return check_finite(xf @ self.params["out_w"].T, "logits"), tape
+        return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
 
-    def backward(self, tape, dlogits):
-        grads, dxf = self._head_backward(tape["xf"], dlogits)
+    def backward(self, tape: GradTape, dlogits):
+        """Gradients of one ``forward``; a tape is consumed by its first backward."""
+        tape = tape.take()
+        grads, dxf = self._head_backward(tape.pop("xf"), dlogits)
         dx, d_enc = self.dec_stack.backward(self.params, tape, dxf, grads)
-        enc_tape = tape["enc"]
+        enc_tape = tape.pop("enc")
         dx_enc, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
         self._embed_backward(grads, (tape["tokens"], dx), (enc_tape["tokens"], dx_enc))
         return grads

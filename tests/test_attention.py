@@ -598,6 +598,25 @@ def test_queue_tape_keeps_only_readout_weights():
     assert list(cache) == ["a"] and cache["a"].shape == (1, 2, 20, 4)
 
 
+@pytest.mark.parametrize("kind,keys", [
+    ("mlp", {"a", "s", "S", "A", "mask", "kmem", "vmem"}),
+    ("local_to_global", {"a", "A", "mask", "kmem", "vmem"}),
+])
+def test_additive_tape_keeps_no_chunk_square_arrays(kind, keys):
+    # the backward recomputes the masked chunk scores P, g = a / S and the
+    # readout weights W2; of the (c x c) arrays the tape keeps only the mask
+    N = 3 * CHUNK + 5
+    c = cfg(site="causal", kind=kind, n=4, d_model=16)
+    _, tape = att.mha_forward(make_rng(55).normal(size=(2, N, 16)), None, make_params(c), c)
+    cache = tape.arrays["cache"]
+    assert set(cache) == keys
+    chunk = att._chunking(N)[0]
+    square = [k for k, v in cache.items() if v.shape[-2:] == (chunk, chunk)]
+    assert square == ["mask"]
+    grads, _, _ = att.mha_backward(tape, np.ones((2, N, 16)))
+    assert cache == {} and tape.arrays == {}
+
+
 # --- config validation ----------------------------------------------------------
 
 

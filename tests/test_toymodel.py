@@ -133,7 +133,7 @@ def _seq2seq_gradcheck(tie_phi_across_layers, enc_activation="relu"):
         cross_kind="mlp", tie_phi_across_layers=tie_phi_across_layers,
     )
     # seeds chosen so the relu pre-activations sit away from the kink (the
-    # finite-difference step would straddle it) and no normalizer column is 0
+    # finite-difference step would straddle it)
     model = tm.ToySeq2Seq(cfg, rng=make_rng(7))
     rng = make_rng(2)
     src = rng.integers(0, 11, size=(2, 5))
@@ -158,10 +158,49 @@ def test_seq2seq_gradients_match_finite_differences():
 def test_seq2seq_untied_gradients_match_finite_differences():
     # per-layer strategy weights at all three sites: enc{i}.attn.sw,
     # dec{i}.attn.sw and dec{i}.cross.sw each get their own gradient.  The
-    # untied draws differ from the tied ones, so the relu seeds above do not
-    # carry over; exp never zeroes a sequence normalizer column.
+    # untied draws differ from the tied ones, and with relu they leave an
+    # encoder slot unwritten (the next test).
     model = _seq2seq_gradcheck(tie_phi_across_layers=False, enc_activation="exp")
     assert sum(k.endswith(".sw") for k in model.params) == 6
+
+
+def test_relu_sequence_control_gives_an_unwritten_slot_a_zero_column():
+    # the untied relu encoder leaves a slot that no token of this 5-token
+    # source writes: its phi column is zero (its memory row the zero
+    # key/value pair), the forward is finite and the gradients match
+    # finite differences
+    model = _seq2seq_gradcheck(tie_phi_across_layers=False, enc_activation="relu")
+    rng = make_rng(2)
+    src, tgt_in = rng.integers(0, 11, size=(2, 5)), rng.integers(0, 11, size=(2, 4))
+    logits, tape = model.forward(src, tgt_in)
+    assert np.isfinite(logits).all()
+    phis = [lt["attn"].arrays["phi"] for lt in tape.arrays["enc"]["layers"]]
+    assert any((phi.sum(axis=1) == 0.0).any() for phi in phis)
+
+
+def test_a_second_lm_backward_on_one_tape_is_refused():
+    model = tm.ToyLM(lm_config(kind="mlp", n=3, d_model=8, heads=2, vocab=7, max_positions=8))
+    tokens = make_rng(9).integers(0, 7, size=(2, 6))
+    mask = np.ones((2, 6))
+    mask[:, -1] = 0
+    logits, tape = model.forward(tokens)
+    _, _, dlogits = tm.next_token_loss(logits, tokens, mask)
+    model.backward(tape, dlogits)
+    assert tape.arrays == {}
+    with pytest.raises(RuntimeError, match="gradient tape already consumed"):
+        model.backward(tape, dlogits)
+
+
+def test_a_second_seq2seq_backward_on_one_tape_is_refused():
+    model = tm.ToySeq2Seq(seq2seq_config(), rng=make_rng(7))
+    rng = make_rng(2)
+    src, tgt = rng.integers(0, 11, size=(2, 5)), rng.integers(0, 11, size=(2, 4))
+    logits, tape = model.forward(src, tgt)
+    _, _, dlogits = tm.masked_cross_entropy(logits, tgt, np.ones(tgt.shape))
+    model.backward(tape, dlogits)
+    assert tape.arrays == {}
+    with pytest.raises(RuntimeError, match="gradient tape already consumed"):
+        model.backward(tape, dlogits)
 
 
 def test_tied_strategy_weights_are_shared_and_accumulated():
@@ -604,6 +643,30 @@ def test_embedding_scatter_equals_add_at():
             pos[: tokens.shape[1]] += dx.sum(axis=0)
         assert np.array_equal(grads["tok_emb"], tok)
         assert np.array_equal(grads["pos_emb"], pos)
+
+
+def test_training_step_peak_memory_is_bounded():
+    # tracemalloc peak of one train step of an mlp ToyLM at N = 256: the
+    # tape holds only what the backward reads and the backward drops each
+    # layer's tape as it goes.  Read 7.37 MB here, against 11.62 MB when the
+    # tape kept the chunk-square arrays and every tape lived to the end.
+    payload = 127
+    cfg = tm.ToyModelConfig(
+        layers=2, d_model=64, heads=4, ffn_mult=4, vocab=32, max_positions=2 * payload + 2,
+        causal=tm.SiteSpec(StrategySpec(kind="mlp"), 32), batch_size=1,
+    )
+    model = tm.ToyLM(cfg, rng=make_rng(1))
+    sampler = tm.TaskSampler(tm.TaskSpec(kind="copy", min_len=payload, max_len=payload, vocab=32))
+    tokens, mask = sampler.sample(1, make_rng(2))
+    opt = tm.adam_init(model)
+    tm.train_step(model, tokens, mask, opt)
+    tracemalloc.start()
+    try:
+        tm.train_step(model, tokens, mask, opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5e6, f"one train step peaked at {peak / 1e6:.2f} MB"
 
 
 def test_training_keeps_its_heap_mapped():
