@@ -29,11 +29,15 @@ decode entry, reads it through the same readout.  The accumulating
 strategies add every token into their n slots; softmax and the queue
 strategies keep a ring that writes token t to slot t mod slots.
 
-Every dense weight is stored C-contiguous as (d_out, d_in) and applied as
+Every projection is stored C-contiguous as (d_out, d_in) and applied as
 ``x @ W.T``, as the strategy weights are; its gradient is
 ``fold_outer(dY, X)`` and the input gradient ``dY @ W``.  A decode step
-multiplies a few rows (the batch) by each weight, so it is bound by reading
-the weights, and this product reads W row by row in its storage order.
+multiplies a few rows (the batch) by each weight.  OpenBLAS runs that
+product on its small-matrix kernel while rows x d_out <= 1200 and packs the
+whole weight on every call past it; every product here stays under that
+bound at the decode bench's batch of 4 (the toy model's FFN, whose first
+matrix would not, is stored (d_in, d_out) instead).  A constant control's
+decode step adds its one shared control row only to the slots it names.
 
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
@@ -573,11 +577,14 @@ def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
 
 
 def _softmax_forward(Q, K, V, tau, causal):
-    s = np.matmul(Q, K.transpose(0, 1, 3, 2)) / tau
+    # the scores are scaled, masked and normalized in their own buffer, so
+    # one score-sized array is live: it becomes the readout weights
+    s = np.matmul(Q, K.transpose(0, 1, 3, 2))
+    s /= tau
     if causal:
         N = Q.shape[2]
-        s = np.where(np.tril(np.ones((N, N), dtype=bool)), s, -np.inf)
-    a = softmax_rows(s)
+        np.copyto(s, -np.inf, where=np.triu(np.ones((N, N), dtype=bool), 1))
+    a = softmax_rows(s, out=s)
     out = np.matmul(a, V)
     return out, {"a": a}
 
@@ -918,19 +925,30 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
             vt[:, :, t % slots] = v
             read = slice(t + 1) if control is None else slice(t % control.stride, None, control.stride)
             kt, vt = kt[:, :, read], vt[:, :, read]
-        else:
-            if learned:
-                _, alpha = _mlp_alpha(control, x, params.strategy_weights)
-            else:
-                alpha = np.broadcast_to(st.phi_at(control, t, params.strategy_weights), (B, n))
+        elif learned:
+            _, alpha = _mlp_alpha(control, x, params.strategy_weights)
             w = alpha[:, None, :, None]
             kt += w * k[:, :, None, :]
             vt += w * v[:, :, None, :]
             state.norm += np.abs(alpha)[:, None, :]
+        else:
+            # one control row for the whole batch: add it to the slots it
+            # names (a one-hot or zero row writes one slot or none); a dense
+            # row (linformer) takes the whole slot axis as a view
+            row = st.phi_at(control, t, params.strategy_weights)
+            slots = np.flatnonzero(row)
+            if len(slots) == n:
+                slots = slice(None)
+            w = row[slots]
+            kt[:, :, slots] += w[:, None] * k[:, :, None, :]
+            vt[:, :, slots] += w[:, None] * v[:, :, None, :]
+            state.norm[:, :, slots] += np.abs(w)
         state.t = t + 1
         if learned:
             if np.any(state.norm <= 0.0):
-                raise NumericError("prefix normalizer hit zero")
+                raise NumericError(
+                    f"prefix normalizer hit zero at the {config.site} site "
+                    f"({config.strategy.kind} control) at decode step {t}")
             norm = state.norm
     s = np.matmul(kt, q[..., None])[..., 0]
     s /= tau if norm is None else norm * tau

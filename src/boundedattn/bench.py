@@ -15,6 +15,7 @@ setup is excluded, and the leading warmup tokens of every run are untimed.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass
 
@@ -26,6 +27,7 @@ from .toymodel import BOS, SiteSpec, ToyLM, ToyModelConfig
 CSV_HEADER = "strategy,N,n,batch,latency_median_s,latency_p90_s,state_bytes,wall_s,failure"
 
 BENCH_STRATEGIES = ("softmax", "mlp", "window", "linformer", "random", "compressive")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,27 @@ def run_memory_audit(model: ToyLM, length: int) -> int:
     if got != expect:
         raise AssertionError(f"state audit mismatch: measured {got}, formula {expect}")
     return expect
+
+
+def environment() -> dict:
+    """What a decode latency depends on besides the code and the config.
+
+    A decode step multiplies a few rows by each weight, and which BLAS
+    kernel runs that product (and on how many threads) sets much of its
+    cost, so a latency is comparable only with the same library and
+    settings.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError, AttributeError):  # the layout differs across numpy versions
+        blas = {"name": None, "version": None}
+    return {
+        "numpy": np.__version__,
+        "blas": blas,
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
 
 
 # --- CSV ------------------------------------------------------------------------

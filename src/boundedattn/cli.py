@@ -248,6 +248,8 @@ def cmd_bench(cfg) -> int:
     records = bench_mod.run_decode_bench(spec, progress=lambda s: print(f"  {s}", flush=True))
     out = _outdir(cfg) / "bench.csv"
     bench_mod.emit_csv(records, out)
+    env = out.with_name("env.json")
+    env.write_text(json.dumps(bench_mod.environment(), indent=1) + "\n", encoding="utf-8")
     print(bench_mod.CSV_HEADER)
     for r in records:
         print(
@@ -255,7 +257,7 @@ def cmd_bench(cfg) -> int:
             f"{r.latency_median_s:.6f},{r.latency_p90_s:.6f},{r.state_bytes},{r.wall_s:.3f}"
             + (" FAILED" if r.failed else "")
         )
-    print(f"wrote {out}")
+    print(f"wrote {out} and {env}")
     failed = [r for r in records if r.failed]
     for r in failed:
         print(f"{r.strategy} n={r.n} N={r.N} failed: {r.failure}", file=sys.stderr)

@@ -68,10 +68,11 @@ def softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_rows(m: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for 2-D (or batched N-D) input."""
+def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise stable softmax for 2-D (or batched N-D) input; written into
+    ``out`` (which may be ``m``) when given."""
     m = np.asarray(m, dtype=np.float64)
-    e = m - m.max(axis=-1, keepdims=True)
+    e = np.subtract(m, m.max(axis=-1, keepdims=True), out=out)
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e

@@ -1,9 +1,13 @@
 """Desk-scale transformer LM and seq2seq built on the bounded-memory attention.
 
 Pre-norm blocks, ReLU feed-forward, learned token and position embeddings,
-no biases outside layer norms.  Every dense weight (the attention
-projections, the FFN and the logits head) is stored C-contiguous as
-(d_out, d_in) and applied as ``x @ w.T``.  One block implementation,
+no biases outside layer norms.  The attention projections, the FFN's
+second matrix and the logits head are stored C-contiguous as (d_out, d_in)
+and applied as ``x @ w.T``.  The FFN's first matrix ``w1`` is stored
+(d_model, d_ff), the shape of ``w2``, and applied as ``x @ w1``: a decode
+step multiplies a few rows by it, and OpenBLAS packs the whole weight on
+every call of the ``x @ w.T`` form once rows x d_out passes 1200, as
+``w1`` (d_out = d_ff) does first.  One block implementation,
 ``_Stack``, holds the batch forward, the backward and the streaming decode
 step for any ordered list of attention sites; the LM decoder, the seq2seq
 encoder and the seq2seq decoder are three instances of it.  The models add
@@ -22,6 +26,7 @@ payload symbols use the rest of the vocabulary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,7 +160,7 @@ def layer_norm_backward(dy, cache):
 
 
 def ffn_forward(h, w1, w2):
-    r = h @ w1.T
+    r = h @ w1
     np.maximum(r, 0.0, out=r)
     return r @ w2.T, (h, r)
 
@@ -165,8 +170,8 @@ def ffn_backward(df, cache, w1, w2):
     dw2 = fold_outer(df, r)
     dz = df @ w2
     dz *= r > 0.0
-    dw1 = fold_outer(dz, h)
-    return dz @ w1, dw1, dw2
+    dw1 = fold_outer(h, dz)
+    return dz @ w1.T, dw1, dw2
 
 
 # --- the transformer block stack ---------------------------------------------------
@@ -188,8 +193,9 @@ class DecoderState:
 
 
 _PROJ = ("wq", "wk", "wv", "wo")
-# the name endings of every dense weight, the arrays stored (d_out, d_in)
-_DENSE = tuple(f".{w}" for w in _PROJ) + (".ffn.w1", ".ffn.w2", "out_w")
+# the name endings of the dense weights stored (d_out, d_in); ffn.w1 is
+# stored (d_in, d_out), the order the clip norm already sums in
+_DENSE = tuple(f".{w}" for w in _PROJ) + (".ffn.w2", "out_w")
 _SITE_LN = {"attn": "ln1", "cross": "ln_cross"}  # the pre-norm in front of each site
 
 
@@ -234,7 +240,7 @@ class _Stack:
             for name, _ in self.sites[1:]:
                 _ln_params(params, f"{base}.{_SITE_LN[name]}", d)
             _ln_params(params, f"{base}.ln2", d)
-            params[f"{base}.ffn.w1"] = draw_weight(rng, d, mult * d)
+            params[f"{base}.ffn.w1"] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, mult * d))
             params[f"{base}.ffn.w2"] = draw_weight(rng, mult * d, d)
         _ln_params(params, self.final_ln, d)
 
@@ -633,9 +639,10 @@ def adam_init(model) -> AdamState:
 def _square_sum(name, g) -> float:
     """sum(g * g), a dense weight's added in (d_in, d_out) order.
 
-    That is the order of the input-major layout the dense weights had until
-    they were stored (d_out, d_in).  Summing in it keeps the clip norm, and
-    so every clipped step of training, bitwise what it was in that layout.
+    That is the order of the input-major layout every dense weight had
+    before the ones in ``_DENSE`` were stored (d_out, d_in).  Summing in it
+    keeps the clip norm, and so every clipped step of training, bitwise
+    what it was in that layout.
     """
     if name.endswith(_DENSE):
         g = np.ascontiguousarray(g.T)

@@ -6,7 +6,7 @@ import pytest
 from boundedattn import attention as att
 from boundedattn import strategies as st
 from boundedattn.memory import build_memory, full_attention, readout
-from boundedattn.numerics import finite_diff_grad, make_rng, softmax
+from boundedattn.numerics import NumericError, finite_diff_grad, make_rng, softmax, softmax_rows
 from boundedattn.strategies import phi_mlp_sequence
 
 
@@ -215,7 +215,119 @@ def test_queue_decode_step_does_not_copy_its_queue(kind):
     assert peak < B * H * n * (d // H) * 8
 
 
-@pytest.mark.parametrize("kind,slots", [("softmax", 5), ("mlp", 3), ("window", 3), ("dilated", 6)])
+CONSTANT_DECODE = [
+    ("random", {"seed": 4, "max_len": 64}),
+    ("compressive", {"ratio": 2}),
+    ("local_to_global", {"global_positions": (0, 3, 5)}),
+    ("linformer", {"max_len": 64}),
+]
+
+
+@pytest.mark.parametrize("kind,extra", CONSTANT_DECODE)
+def test_constant_control_decode_step_equals_the_dense_update(kind, extra):
+    # the step adds the shared control row to the slots it names; the
+    # memory and normalizer must be the bits of adding the whole row
+    B, n = 2, 4
+    c = cfg(site="causal", kind=kind, n=n, **extra)
+    p = make_params(c, seed=8)
+    state = att.init_attn_state(c, p, batch=B, capacity=6)
+    X = make_rng(48).normal(size=(6, B, c.d_model))
+    for t, x in enumerate(X):
+        row = st.phi_at(c.control, t, p.strategy_weights)
+        alpha = np.broadcast_to(row, (B, n))
+        k = (x @ p.wk.T).reshape(B, c.heads, c.d_head)
+        v = (x @ p.wv.T).reshape(B, c.heads, c.d_head)
+        want = [state.ktilde.copy(), state.vtilde.copy(), state.norm.copy()]
+        before = [a.copy() for a in want]
+        want[0] += alpha[:, None, :, None] * k[:, :, None, :]
+        want[1] += alpha[:, None, :, None] * v[:, :, None, :]
+        want[2] += np.abs(alpha)[:, None, :]
+        att.stream_step(x, p, c, state)
+        got = [state.ktilde, state.vtilde, state.norm]
+        for g, w, b in zip(got, want, before):
+            assert np.array_equal(g, w)
+            assert np.array_equal(g[:, :, row == 0], b[:, :, row == 0])
+
+
+def _decode_step_peak(kind, extra):
+    import tracemalloc
+
+    B, d, H, n = 4, 256, 4, 32
+    c = cfg(site="causal", kind=kind, n=n, d_model=d, heads=H, **extra)
+    p = make_params(c, seed=5)
+    state = att.init_attn_state(c, p, batch=B, capacity=11)
+    X = make_rng(49).normal(size=(11, B, d))
+    for x in X[:10]:
+        att.stream_step(x, p, c, state)
+    tracemalloc.start()
+    try:
+        att.stream_step(X[10], p, c, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, state.ktilde.nbytes
+
+
+@pytest.mark.parametrize("kind,extra", [
+    ("random", {"seed": 4, "max_len": 64}),
+    ("compressive", {"ratio": 2}),
+    ("local_to_global", {"global_positions": (3, 10, 20)}),
+])
+def test_sparse_control_decode_step_writes_no_memory_sized_array(kind, extra):
+    # a one-hot (or zero) row touches one slot (or none): building the
+    # (B, H, n, d_head) product of the whole row would allocate a memory
+    peak, memory = _decode_step_peak(kind, extra)
+    assert peak < memory / 4
+
+
+def test_dense_control_decode_step_updates_the_slots_as_a_view():
+    # a linformer row names every slot; indexing all n slots would add a
+    # gathered copy of the memory to the product the update needs
+    peak, memory = _decode_step_peak("linformer", {"max_len": 64})
+    assert peak < 2 * memory
+
+
+def test_prefix_normalizer_error_names_the_site_kind_and_step(monkeypatch):
+    c = cfg(site="causal", kind="mlp", n=3)
+    p = make_params(c)
+    state = att.init_attn_state(c, p, batch=2, capacity=8)
+    state.t = 5
+    # a control that writes no weight leaves the prefix normalizer at zero
+    monkeypatch.setattr(att, "_mlp_alpha", lambda control, X, w: (None, np.zeros((len(X), 3))))
+    x = make_rng(50).normal(size=(2, c.d_model))
+    with pytest.raises(NumericError, match=r"causal site \(mlp control\) at decode step 5"):
+        att.stream_step(x, p, c, state)
+
+
+def test_causal_softmax_masks_its_scores_in_place():
+    import tracemalloc
+
+    N, H, d = 256, 4, 16
+    c = cfg(site="causal", kind="softmax", n=1, heads=H, d_model=d)
+    p = make_params(c, seed=6)
+    X = make_rng(52).normal(size=(1, N, d))
+    att.mha_forward(X, None, p, c)
+    tracemalloc.start()
+    try:
+        att.mha_forward(X, None, p, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (H * N * N * 8)
+
+
+def test_causal_softmax_equals_the_masked_copy_form():
+    N, tau = 37, 2.0
+    rng = make_rng(51)
+    Q, K, V = (rng.normal(size=(2, 3, N, 4)) for _ in range(3))
+    s = np.matmul(Q, K.transpose(0, 1, 3, 2)) / tau
+    a = softmax_rows(np.where(np.tril(np.ones((N, N), dtype=bool)), s, -np.inf))
+    out, cache = att._softmax_forward(Q, K, V, tau, causal=True)
+    assert np.array_equal(cache["a"], a)
+    assert np.array_equal(out, np.matmul(a, V))
+
+
+@pytest.mark.parametrize("kind,slots",[("softmax", 5), ("mlp", 3), ("window", 3), ("dilated", 6)])
 def test_causal_decode_state_is_one_slot_layout(kind, slots):
     # capacity slots for softmax, stride * n for a queue, n for an accumulating control
     c = cfg(site="causal", kind=kind, n=3)

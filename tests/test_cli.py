@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -104,8 +105,9 @@ def test_decode_after_train(tmp_path, capsys):
 
 
 def test_decode_refuses_a_checkpoint_in_the_old_input_major_layout(tmp_path, capsys):
-    # before the (d_out, d_in) weight layout, the default config's ffn.w1 was
-    # stored (64, 256) and out_w (64, 32): the shape check must refuse them
+    # the default config stores ffn.w1 (64, 256) and ffn.w2 (64, 256).  A
+    # checkpoint in the input-major layout (every dense weight (d_in, d_out))
+    # or in the layout before it (ffn.w1 (256, 64)) must be refused.
     import copy
 
     from boundedattn import checkpoint
@@ -113,13 +115,18 @@ def test_decode_refuses_a_checkpoint_in_the_old_input_major_layout(tmp_path, cap
     from boundedattn.cli import DEFAULTS, model_config_from
 
     model = tm.ToyLM(model_config_from(copy.deepcopy(DEFAULTS)))
-    dense = (".wq", ".wk", ".wv", ".wo", ".ffn.w1", ".ffn.w2", "out_w")
-    old = {k: (v.T if k.endswith(dense) else v) for k, v in model.params.items()}
-    assert old["dec0.ffn.w1"].shape == (64, 256) and old["out_w"].shape == (64, 32)
-    ckpt = tmp_path / "old.bin"
-    checkpoint.save_arrays(ckpt, old)
-    assert run(["decode", "--ckpt", str(ckpt)]) == 2
-    assert "has shape (64, 256), model wants (256, 64)" in capsys.readouterr().err
+    assert model.params["dec0.ffn.w1"].shape == model.params["dec0.ffn.w2"].shape == (64, 256)
+    dense = (".wq", ".wk", ".wv", ".wo", ".ffn.w2", "out_w")
+    layouts = {
+        "input_major": (dense, "dec0.ffn.w2 has shape (256, 64), model wants (64, 256)"),
+        "d_out_by_d_in": ((".ffn.w1",), "dec0.ffn.w1 has shape (256, 64), model wants (64, 256)"),
+    }
+    for name, (transposed, error) in layouts.items():
+        old = {k: (v.T if k.endswith(transposed) else v) for k, v in model.params.items()}
+        ckpt = tmp_path / f"{name}.bin"
+        checkpoint.save_arrays(ckpt, old)
+        assert run(["decode", "--ckpt", str(ckpt)]) == 2
+        assert error in capsys.readouterr().err
 
 
 def test_bench_grid_row_count(tmp_path, capsys):
@@ -134,6 +141,26 @@ def test_bench_grid_row_count(tmp_path, capsys):
     assert run(["bench", "--config", str(path)]) == 0
     rows = (tmp_path / "b" / "bench.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 2 * 3
+
+
+def test_bench_writes_its_environment_beside_the_csv(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = {
+        "out_dir": str(tmp_path / "b"),
+        "bench": {"strategies": ["window"], "lens": [8], "n": [2], "batch": 2, "reps": 3,
+                  "warmup": 2, "layers": 1, "d_model": 16, "heads": 2, "ffn_mult": 2, "vocab": 16},
+    }
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["bench", "--config", str(path)]) == 0
+    env = json.loads((tmp_path / "b" / "env.json").read_text())
+    assert env["numpy"] == np.__version__
+    assert env["blas"] == {k: np.show_config(mode="dicts")["Build Dependencies"]["blas"][k]
+                           for k in ("name", "version")}
+    assert env["blas_threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["blas_threads"]["MKL_NUM_THREADS"] is None
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_bench_flag_overrides(tmp_path):

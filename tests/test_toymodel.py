@@ -292,12 +292,13 @@ def test_greedy_decode_rejects_an_empty_prefix():
         tm.greedy_decode(model, np.zeros((2, 0), dtype=np.intp), 4)
 
 
-def test_dense_weights_are_c_contiguous_d_out_by_d_in():
+def test_dense_weights_are_c_contiguous_in_their_stored_shapes():
     cfg = seq2seq_config()
     d, f, vocab = cfg.d_model, cfg.ffn_mult * cfg.d_model, cfg.vocab
     shapes = {".wq": (d, d), ".wk": (d, d), ".wv": (d, d), ".wo": (d, d),
-              ".ffn.w1": (f, d), ".ffn.w2": (d, f), "out_w": (vocab, d)}
-    assert set(tm._DENSE) == set(shapes)  # the clip norm's list of dense weights
+              ".ffn.w1": (d, f), ".ffn.w2": (d, f), "out_w": (vocab, d)}
+    # the clip norm's list of the weights stored (d_out, d_in)
+    assert set(tm._DENSE) == set(shapes) - {".ffn.w1"}
     # LM: 2 layers x (4 projections + 2 FFN) + head; seq2seq: encoder 2 x 6,
     # decoder 2 x (8 projections + 2 FFN), head
     for model, count in ((tm.ToyLM(cfg), 13), (tm.ToySeq2Seq(cfg), 33)):
@@ -550,7 +551,7 @@ def _ref_layer_norm_backward(dy, cache):
 
 
 def _ref_ffn_forward(h, w1, w2):
-    z = h @ w1.T
+    z = h @ w1
     r = np.maximum(z, 0.0)
     return r @ w2.T, (h, z, r)
 
@@ -559,7 +560,7 @@ def _ref_ffn_backward(df, cache, w1, w2):
     h, z, r = cache
     dw2 = tm.fold_outer(df, r)
     dz = (df @ w2) * (z > 0.0)
-    return dz @ w1, tm.fold_outer(dz, h), dw2
+    return dz @ w1.T, tm.fold_outer(h, dz), dw2
 
 
 def _ref_adam_update(model, grads, opt):
@@ -594,7 +595,7 @@ def test_layer_norm_and_ffn_equal_their_expression_forms(shape):
     d, f = shape[-1], 3 * shape[-1]
     x = rng.normal(0.0, 2.0, shape) + 0.5
     g, b = rng.normal(1.0, 0.3, (1, d)), rng.normal(0.0, 0.3, (1, d))
-    w1, w2 = rng.normal(0.0, 0.3, (f, d)), rng.normal(0.0, 0.3, (d, f))
+    w1, w2 = rng.normal(0.0, 0.3, (d, f)), rng.normal(0.0, 0.3, (d, f))
     dy = rng.normal(size=shape)
 
     y, cache = tm.layer_norm_forward(x, g, b)
