@@ -348,20 +348,51 @@ def _head_sum(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _swap(np.matmul(_swap(y.reshape(b, -1, y.shape[-1])), x.reshape(b, -1, x.shape[-1])))
 
 
-def _masked_gram(X, Y, mask):
-    """X Y^T per chunk and head, (B*nc, H, c, c), kept where i <= t."""
-    P = np.matmul(X, _swap(Y))
+def _masked_gram(X, Y, mask, out=None):
+    """X Y^T per chunk and head, (B*nc, H, c, c), kept where i <= t; written
+    into ``out`` when given."""
+    P = np.matmul(X, _swap(Y), out=out)
     P *= mask
     return P
 
 
-def _masked_slot_gram(G, A, mask):
+def _masked_slot_gram(G, A, mask, out=None):
     """G A^T per chunk, (B*nc, H, c, c), kept where i <= t: the (B*nc, H, c,
-    n) rows G of every head against the chunk's (B*nc, c, n) control rows A."""
+    n) rows G of every head against the chunk's (B*nc, c, n) control rows A;
+    written into ``out`` when given."""
     Bnc, H, c, n = G.shape
-    W = np.matmul(G.reshape(Bnc, H * c, n), _swap(A)).reshape(Bnc, H, c, c)
+    W = np.matmul(G.reshape(Bnc, H * c, n), _swap(A),
+                  out=None if out is None else out.reshape(Bnc, H * c, c))
+    W = W.reshape(Bnc, H, c, c)
     W *= mask
     return W
+
+
+def _carried(A, X, B):
+    """The memory entering chunks 1..nc-1, (B, nc-1, H, n, d): A_c^T X_c of
+    every earlier chunk c, summed."""
+    return _chunk_cumsum(np.matmul(_swap(_by_chunk(A[:, None], B)[:, :-1]), _by_chunk(X, B)[:, :-1]))
+
+
+def _slot_scores(Q, K, A, P, B, out=None, scratch=None):
+    """Raw slot scores (B*nc, H, c, n), written into ``out`` when given, and
+    the carried key memory (None with one chunk).
+
+    Inside a chunk the score of step t is sum_{i<=t} P[t, i] A[i], with P the
+    masked chunk gram Q K^T; each later chunk adds q_t . kmem, computed into
+    ``scratch`` (shaped like the scores) when given.
+    """
+    Bnc, H, c, _ = Q.shape
+    n = A.shape[-1]
+    s = np.matmul(P.reshape(Bnc, H * c, c), A,
+                  out=None if out is None else out.reshape(Bnc, H * c, n)).reshape(Bnc, H, c, n)
+    kmem = None
+    if Bnc > B:
+        kmem = _carried(A, K, B)
+        later = _by_chunk(s, B)[:, 1:]
+        later += np.matmul(_by_chunk(Q, B)[:, 1:], _swap(kmem),
+                           out=None if scratch is None else _by_chunk(scratch, B)[:, 1:])
+    return s, kmem
 
 
 def _additive_causal_forward(Q, K, V, A, normalize, tau):
@@ -373,10 +404,12 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
     # learned control (normalize) divides by the running per-slot weight S_t;
     # a constant control instead masks the slots it has not written yet.  The
     # readout weight of chunk token i at step t is W2[t, i] = g_t . A[i]
-    # (i <= t), with g = a / S.  The tape keeps only what the backward reads:
-    # a, A, the mask, the carried memory and, for the learned control, s and
-    # S.  The backward recomputes P, g and W2 with these same calls, so it
-    # reads the same bits.
+    # (i <= t), with g = a / S.  The tape keeps only what the backward cannot
+    # cheaply rebuild, in the layout the backward reads it: a, A, the mask,
+    # S for the learned control, and the chunked Q, K and V.  The backward
+    # rebuilds P, the scores s, g, W2 and the carried memories kmem and vmem
+    # with these same calls, so it reads the same bits.  One (c x c) buffer
+    # holds P and then W2; the scores are normalized in their own buffer.
     B, H, N, _ = Q.shape
     n = A.shape[2]
     c, nc = _chunking(N)
@@ -392,79 +425,89 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
         written = (np.cumsum(np.abs(A[0]), axis=0) > 0.0).reshape(nc, 1, c, n)
     A = A.reshape(B * nc, c, n)
     mask = np.tril(np.ones((c, c)))
-    s = np.matmul(_masked_gram(Q, K, mask).reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
-    kmem = vmem = None
-    if nc > 1:
-        # memory entering chunks 1..nc-1: (B, nc-1, H, n, d_head)
-        A_in = _swap(_by_chunk(A[:, None], B)[:, :-1])
-        kmem = _chunk_cumsum(np.matmul(A_in, _by_chunk(K, B)[:, :-1]))
-        vmem = _chunk_cumsum(np.matmul(A_in, _by_chunk(V, B)[:, :-1]))
-        later = _by_chunk(s, B)[:, 1:]
-        later += np.matmul(_by_chunk(Q, B)[:, 1:], _swap(kmem))
+    square = _masked_gram(Q, K, mask)
+    s, _ = _slot_scores(Q, K, A, square, B)
     if normalize:
         s /= S * tau
     else:
         s /= tau
         _mask_unwritten(_by_chunk(s, B), written)
-    a = softmax_rows(s)
+    a = softmax_rows(s, out=s)
     g = a / S if normalize else a
-    out = np.matmul(_masked_slot_gram(g, A, mask), V)
+    out = np.matmul(_masked_slot_gram(g, A, mask, out=square), V)
+    del square
     if nc > 1:
         later = _by_chunk(out, B)[:, 1:]
-        later += np.matmul(_by_chunk(g, B)[:, 1:], vmem)
-    cache = {"a": a, "A": A, "mask": mask, "kmem": kmem, "vmem": vmem}
+        later += np.matmul(_by_chunk(g, B)[:, 1:], _carried(A, V, B))
+    cache = {"a": a, "A": A, "mask": mask, "Q": Q, "K": K, "V": V}
     if normalize:
-        cache.update(s=s, S=S)
+        cache["S"] = S
     return _chunks_to_heads(out, B, N), cache
 
 
-def _additive_causal_backward(dout, Q, K, V, cache, normalize, tau, grad_A):
+def _additive_causal_backward(dout, cache, normalize, tau, grad_A):
     # grad_A: the control has weights, so the gradient reaches A (dA is None
     # otherwise).  The cache is taken apart, and each array here is dropped
-    # after its last use; W2, g and P are recomputed next to their use.
-    a, s, S = cache.pop("a"), cache.pop("s", None), cache.pop("S", None)
-    A, mask, kmem, vmem = (cache.pop(k) for k in ("A", "mask", "kmem", "vmem"))
+    # after its last use.  g, W2, vmem, kmem, P and (learned control) the
+    # scores s are rebuilt once each, just before their first use.  One
+    # (c x c) buffer holds W2, dW2, P and dP in turn; g's buffer becomes the
+    # scratch of the normalizer terms and a's buffer the rebuilt s.
+    a, A, mask, S = cache.pop("a"), cache.pop("A"), cache.pop("mask"), cache.pop("S", None)
+    Q, K, V = cache.pop("Q"), cache.pop("K"), cache.pop("V")
     B, H, N, _ = dout.shape
     c, n = A.shape[1:]
     nc = A.shape[0] // B
-    dout, Q, K, V = (_heads_to_chunks(x, c, nc) for x in (dout, Q, K, V))
+    dout = _heads_to_chunks(dout, c, nc)
     g = a / S if normalize else a
-    dV = np.matmul(_swap(_masked_slot_gram(g, A, mask)), dout)
-    dW2 = _masked_gram(dout, V, mask)
+    square = _masked_slot_gram(g, A, mask)  # W2
+    dV = np.matmul(_swap(square), dout)
+    dW2 = _masked_gram(dout, V, mask, out=square)
     dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     if grad_A:
         dA = _head_sum(dW2, g)
     del dW2
     if nc > 1:
         later = _by_chunk(dg, B)[:, 1:]
-        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(vmem))
+        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(_carried(A, V, B)))
         dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
-    del dout, vmem
+    del dout
     # dg's buffer becomes da, then ds, then dC
     if normalize:
-        t = dg * g  # scratch for dg * g, then ds * s
+        t = np.multiply(dg, g, out=g)  # scratch for dg * g, then ds * s
         dS = -np.sum(t, axis=1, keepdims=True)
         dS /= S  # g = a / S
         dg /= S
     del g
-    softmax_rows_backward(a, dg, out=dg)
-    del a
+    softmax_rows_backward(a, dg, out=dg, scratch=t if normalize else None)
+    kmem = P = None
     if normalize:
+        P = _masked_gram(Q, K, mask, out=square)
+        s, kmem = _slot_scores(Q, K, A, P, B, out=a, scratch=t)
+        del a
+        s /= S * tau
         dS -= np.sum(np.multiply(dg, s, out=t), axis=1, keepdims=True) / S  # s = C / (S tau)
         dg /= S * tau
         del s, t
     else:
+        del a
         dg /= tau
     dC = dg
     if grad_A:
-        dA += _head_sum(_masked_gram(Q, K, mask), dC)
-    dP = _masked_slot_gram(dC, A, mask)
+        if P is None:
+            P = _masked_gram(Q, K, mask, out=square)
+        dA += _head_sum(P, dC)
+    del P
+    dP = _masked_slot_gram(dC, A, mask, out=square)
+    del square
     dQ = np.matmul(dP, K)
     dK = np.matmul(_swap(dP), Q)
     del dP
     if nc > 1:
+        if kmem is None:
+            kmem = _carried(A, K, B)
         later = _by_chunk(dQ, B)[:, 1:]
         later += np.matmul(_by_chunk(dC, B)[:, 1:], kmem)
+        del kmem
         dkmem = np.matmul(_swap(_by_chunk(dC, B)[:, 1:]), _by_chunk(Q, B)[:, 1:])
         # chunk j's writes reach the memory of every chunk after it
         dkw = _chunk_cumsum(dkmem, reverse=True)
@@ -539,6 +582,8 @@ def _queue_causal_forward(Q, K, V, n, stride, tau):
     # value.  Each block of c steps makes one (c x (c + h)) score GEMM against
     # the key rows its queues can hold; the slot scores are a strided band of
     # it, and the readout is the band-placed weights times the same rows.
+    # The weights are normalized in the copy of the band and written back
+    # into the zeroed score buffer; the tape holds only them.
     B, H, N, dh = Q.shape
     c, nc = _chunking(N)
     h = stride * (n - 1)
@@ -546,13 +591,17 @@ def _queue_causal_forward(Q, K, V, n, stride, tau):
     Kw, Vw = (_windows(x, c, nc, h) for x in (K, V))
     scores = np.matmul(Qc, _swap(Kw))
     s = _band(scores, n, stride) / tau
-    a = softmax_rows(s.reshape(B, H, nc * c, n)[:, :, :N])
-    out = np.matmul(_put_band(np.zeros(scores.shape), a, stride), Vw)
+    a = s.reshape(B, H, nc * c, n)[:, :, :N]
+    softmax_rows(a, out=a)
+    scores[...] = 0.0
+    _band(scores, n, stride)[...] = s  # the padded rows' scores are zero
+    out = np.matmul(scores, Vw)
     return out.reshape(B, H, nc * c, dh)[:, :, :N], {"a": a}
 
 
 def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
-    # each array is dropped after its last use
+    # each array is dropped after its last use; the score-sized product
+    # dout V^T becomes the band matrix of the weights, then of ds
     a = cache.pop("a")
     B, H, N, n = a.shape
     dh = Q.shape[-1]
@@ -561,8 +610,10 @@ def _queue_causal_backward(dout, Q, K, V, cache, stride, tau):
     Qc, dc = (_pad_time(x, nc * c, axis=2).reshape(B, H, nc, c, dh) for x in (Q, dout))
     Kw, Vw = (_windows(x, c, nc, h) for x in (K, V))
     del dout, Q, K, V
-    da = _band(np.matmul(dc, _swap(Vw)), n, stride).reshape(B, H, nc * c, n)[:, :, :N]
-    W = _put_band(np.zeros((B, H, nc, c, c + h)), a, stride)
+    W = np.matmul(dc, _swap(Vw))
+    da = _band(W, n, stride).copy().reshape(B, H, nc * c, n)[:, :, :N]
+    W[...] = 0.0
+    _put_band(W, a, stride)
     dV = _overlap_add(np.matmul(_swap(W), dc), h, N)
     del dc, Vw
     softmax_rows_backward(a, da, out=da)  # da's buffer becomes ds
@@ -670,7 +721,7 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     tape = GradTape(config=config)
     ar = tape.arrays
     ar.update(
-        Xq=Xq, Xkv=Xkv, Q=Q, K=K, V=V,
+        Xq=Xq, Xkv=Xkv,
         wq=params.wq, wk=params.wk, wv=params.wv, wo=params.wo,
         sw=params.strategy_weights,
     )
@@ -683,10 +734,10 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
             ar["phi"] = _sequence_phi(config, params, Xkv, K, ar)
             Km, Vm = _slot_memory(ar["phi"], K, V)
         out, cache = _softmax_forward(Q, Km, Vm, tau, config.site == "causal")
-        ar.update(Km=Km, Vm=Vm, family="softmax")
+        ar.update(Q=Q, K=K, V=V, Km=Km, Vm=Vm, family="softmax")
     elif control.stride:
         out, cache = _queue_causal_forward(Q, K, V, control.n, control.stride, tau)
-        ar["family"] = "queue"
+        ar.update(Q=Q, K=K, V=V, family="queue")
     else:
         normalize = isinstance(control, st.MlpControl)
         if normalize:
@@ -695,6 +746,7 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
         else:
             phi = st.phi_matrix(control, N, params.strategy_weights)
             A = np.broadcast_to(phi, (B, N, config.n))
+        # the kernel tapes Q, K and V in its chunk layout
         out, cache = _additive_causal_forward(Q, K, V, A, normalize, tau)
         ar["family"] = "additive"
         ar["normalize"] = normalize
@@ -743,8 +795,7 @@ def mha_backward(tape: GradTape, d_out):
             dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, config.control.stride, tau)
     else:
         dQ, dK, dV, dA = _additive_causal_backward(
-            dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, ar["normalize"], tau,
-            ar["sw"] is not None)
+            dout_h, cache, ar["normalize"], tau, ar["sw"] is not None)
     del dout_h
 
     dQf, dKf, dVf = _merge_heads(dQ), _merge_heads(dK), _merge_heads(dV)
@@ -958,4 +1009,4 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     if norm is not None:
         a /= norm
     out = np.matmul(a[:, :, None, :], vt)[:, :, 0, :]
-    return out.reshape(B, H * dh) @ params.wo.T
+    return check_finite(out.reshape(B, H * dh) @ params.wo.T, "attention output")

@@ -79,11 +79,13 @@ def softmax_rows(m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def softmax_rows_backward(
-    a: np.ndarray, da: np.ndarray, out: np.ndarray | None = None
+    a: np.ndarray, da: np.ndarray, out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of row-wise softmax given its output ``a`` and upstream ``da``;
-    written into ``out`` (which may be ``da``) when given."""
-    inner = np.sum(a * da, axis=-1, keepdims=True)
+    written into ``out`` (which may be ``da``) when given.  ``scratch``, an
+    array shaped like ``a``, takes the product a * da when given."""
+    inner = np.sum(np.multiply(a, da, out=scratch), axis=-1, keepdims=True)
     d = np.subtract(da, inner, out=out)
     d *= a
     return d

@@ -46,7 +46,7 @@ from .attention import (
     mha_forward,
     stream_step,
 )
-from .numerics import check_finite, make_rng, softmax_rows
+from .numerics import NumericError, check_finite, make_rng, softmax_rows
 
 LN_EPS = 1e-5
 BOS, SEP = 0, 1
@@ -168,8 +168,9 @@ def ffn_forward(h, w1, w2):
 def ffn_backward(df, cache, w1, w2):
     h, r = cache
     dw2 = fold_outer(df, r)
-    dz = df @ w2
-    dz *= r > 0.0
+    relu = r > 0.0
+    dz = np.matmul(df, w2, out=r)  # the taped ReLU output is not read again
+    dz *= relu
     dw1 = fold_outer(h, dz)
     return dz @ w1.T, dw1, dw2
 
@@ -197,6 +198,17 @@ _PROJ = ("wq", "wk", "wv", "wo")
 # stored (d_in, d_out), the order the clip norm already sums in
 _DENSE = tuple(f".{w}" for w in _PROJ) + (".ffn.w2", "out_w")
 _SITE_LN = {"attn": "ln1", "cross": "ln_cross"}  # the pre-norm in front of each site
+
+
+def _add_grad(grads, key, g):
+    """Add ``g`` into ``grads[key]``; the first contribution becomes the array.
+
+    The same sums as adding into zeros, without the zeros.
+    """
+    if key in grads:
+        grads[key] += g
+    else:
+        grads[key] = g
 
 
 class _Stack:
@@ -274,7 +286,10 @@ class _Stack:
                 ln = _SITE_LN[name]
                 h, lt[ln] = self._ln(params, x, f"{base}.{ln}")
                 kv = enc_out if name == "cross" else None
-                a, lt[name] = mha_forward(h, kv, self.layer_params(params, i, name), att)
+                try:
+                    a, lt[name] = mha_forward(h, kv, self.layer_params(params, i, name), att)
+                except NumericError as exc:
+                    raise self._named(exc, i, name, att) from exc
                 x = x + a
             h2, lt["ln2"] = self._ln(params, x, f"{base}.ln2")
             f, lt["ffn"] = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
@@ -284,12 +299,16 @@ class _Stack:
         return out, {"layers": layers, "final_ln": final}
 
     def backward(self, params, tape, d_out, grads):
-        """Accumulates into ``grads``; returns (dx, d_enc summed over cross sites).
+        """Adds into ``grads``; returns (dx, d_enc summed over cross sites).
 
+        A parameter's first gradient becomes its entry in ``grads`` and later
+        ones add into it (``_add_grad``), so no zero-filled gradient is made.
         Pops each tape as it reads it: a layer's FFN and layer-norm tapes are
-        gone before its attention backward runs.
+        gone before its attention backward runs.  ``d_out`` and each
+        sub-layer's input gradient are dropped after their last use.
         """
         dx = self._ln_backward(grads, d_out, tape.pop("final_ln"), self.final_ln)
+        del d_out
         layers = tape.pop("layers")
         d_enc = None
         for i in reversed(range(self.layers)):
@@ -297,28 +316,37 @@ class _Stack:
             lt = layers.pop()
             w1, w2 = f"{base}.ffn.w1", f"{base}.ffn.w2"
             dh2, dw1, dw2 = ffn_backward(dx, lt.pop("ffn"), params[w1], params[w2])
-            grads[w1] += dw1
-            grads[w2] += dw2
+            _add_grad(grads, w1, dw1)
+            _add_grad(grads, w2, dw2)
             dx = dx + self._ln_backward(grads, dh2, lt.pop("ln2"), f"{base}.ln2")
-            for name, _ in reversed(self.sites):
-                agrads, dh, denc_i = mha_backward(lt.pop(name), dx)
+            del dh2
+            for name, att in reversed(self.sites):
+                try:
+                    agrads, dh, denc_i = mha_backward(lt.pop(name), dx)
+                except NumericError as exc:
+                    raise self._named(exc, i, name, att) from exc
                 for w in _PROJ:
-                    grads[f"{base}.{name}.{w}"] += agrads[w]
+                    _add_grad(grads, f"{base}.{name}.{w}", agrads[w])
                 key = self.sw_keys[name][i]
                 if key is not None:
-                    grads[key] += agrads["strategy_weights"]
+                    _add_grad(grads, key, agrads["strategy_weights"])
                 if denc_i is not None:
                     d_enc = denc_i if d_enc is None else d_enc + denc_i
                 ln = _SITE_LN[name]
                 dx = dx + self._ln_backward(grads, dh, lt.pop(ln), f"{base}.{ln}")
+                del dh
         return dx, d_enc
 
     @staticmethod
     def _ln_backward(grads, dy, cache, name):
         dx, dg, db = layer_norm_backward(dy, cache)
-        grads[f"{name}.g"] += dg
-        grads[f"{name}.b"] += db
+        _add_grad(grads, f"{name}.g", dg)
+        _add_grad(grads, f"{name}.b", db)
         return dx
+
+    def _named(self, exc, i, name, att) -> NumericError:
+        """``exc`` restated with the stack prefix, layer, site and strategy kind."""
+        return NumericError(f"{self.prefix}{i} {name} ({att.site}, {att.strategy.kind}): {exc}")
 
     def init_state(self, params, batch, capacity, enc_out=None) -> DecoderState:
         """Fresh decode state; cross sites build their memory from ``enc_out``."""
@@ -340,7 +368,10 @@ class _Stack:
             for name, att in self.sites:
                 h, _ = self._ln(params, x, f"{base}.{_SITE_LN[name]}")
                 lp = self.layer_params(params, i, name)
-                x = x + stream_step(h, lp, att, getattr(state, name)[i])
+                try:
+                    x = x + stream_step(h, lp, att, getattr(state, name)[i])
+                except NumericError as exc:
+                    raise self._named(exc, i, name, att) from exc
             h2, _ = self._ln(params, x, f"{base}.ln2")
             f, _ = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
             x = x + f
@@ -373,9 +404,6 @@ class _Model:
             a.size for k, a in self.params.items() if k.startswith("phi.") or k.endswith(".sw")
         )
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
-
     def _embed(self, tokens):
         """(B, N) or (N,) ids -> (ids as (B, N), token + position embeddings)."""
         tokens = np.asarray(tokens)
@@ -390,20 +418,22 @@ class _Model:
         return tokens, self.params["tok_emb"][tokens] + self.params["pos_emb"][:N]
 
     def _embed_backward(self, grads, *pairs):
-        """Add the embedding gradients of (tokens, dx) pairs, in pair order.
+        """Set the embedding gradients of (tokens, dx) pairs, added in pair order.
 
-        The token rows go into the zero ``tok_emb`` gradient in one bincount
-        over the flat indices token * d + column.  It adds in row order from
-        zero, as ``np.add.at`` does, so the sums are bit for bit the same;
-        a second scatter into the non-zero result would round differently.
+        The ``tok_emb`` gradient is one bincount over the flat indices
+        token * d + column.  It adds in row order from zero, as ``np.add.at``
+        into zeros does, so the sums are bit for bit the same; a second
+        scatter into a non-zero result would round differently.
         """
-        emb = grads["tok_emb"]
-        cols = np.arange(emb.shape[1])
+        pos = np.zeros_like(self.params["pos_emb"])
         for tokens, dx in pairs:
-            grads["pos_emb"][: tokens.shape[1]] += dx.sum(axis=0)
-        flat = np.concatenate([(t[..., None] * emb.shape[1] + cols).ravel() for t, _ in pairs])
+            pos[: tokens.shape[1]] += dx.sum(axis=0)
+        vocab, d = self.params["tok_emb"].shape
+        cols = np.arange(d)
+        flat = np.concatenate([(t[..., None] * d + cols).ravel() for t, _ in pairs])
         dxs = np.concatenate([dx.ravel() for _, dx in pairs])
-        emb += np.bincount(flat, dxs, minlength=emb.size).reshape(emb.shape)
+        grads["tok_emb"] = np.bincount(flat, dxs, minlength=vocab * d).reshape(vocab, d)
+        grads["pos_emb"] = pos
 
     def _embed_step(self, tokens_t, pos):
         if pos >= self.config.max_positions:
@@ -411,11 +441,15 @@ class _Model:
         tokens_t = np.asarray(tokens_t).reshape(-1)
         return self.params["tok_emb"][tokens_t] + self.params["pos_emb"][pos]
 
-    def _head_backward(self, xf, dlogits):
-        """Fresh gradient dict holding the head's gradients, and d(xf)."""
-        grads = self.zero_grads()
+    def _head_backward(self, grads, xf, dlogits):
+        """Put the head's gradient into the empty dict ``grads``; returns d(xf).
+
+        No gradient is zero-filled in advance: the backward adds each one to
+        the dict as it is made (``_add_grad``), then returns the dict in
+        ``params`` order, the order the clip norm in ``adam_update`` sums in.
+        """
         grads["out_w"] = fold_outer(dlogits, xf)
-        return grads, dlogits @ self.params["out_w"]
+        return dlogits @ self.params["out_w"]
 
 
 # --- the decoder-only language model -------------------------------------------------
@@ -437,11 +471,12 @@ class ToyLM(_Model):
 
     def backward(self, tape: GradTape, dlogits) -> dict[str, np.ndarray]:
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
-        tape = tape.take()
-        grads, dxf = self._head_backward(tape.pop("xf"), dlogits)
-        dx, _ = self.stack.backward(self.params, tape, dxf, grads)
+        tape, grads = tape.take(), {}
+        # d(xf) is handed over, not held here: the stack drops it after its final norm
+        dx, _ = self.stack.backward(
+            self.params, tape, self._head_backward(grads, tape.pop("xf"), dlogits), grads)
         self._embed_backward(grads, (tape["tokens"], dx))
-        return grads
+        return {k: grads[k] for k in self.params}
 
     def init_state(self, batch: int, capacity: int | None = None) -> DecoderState:
         capacity = self.config.max_positions if capacity is None else capacity
@@ -591,6 +626,7 @@ class AdamState:
     m: dict
     v: dict
     t: int = 0
+    grad_norm: float | None = None  # the last step's gradient norm before clipping
 
 
 # glibc mallopt parameters and the values a training process runs with
@@ -651,17 +687,17 @@ def _square_sum(name, g) -> float:
 
 def adam_update(model, grads, opt: AdamState):
     """One clipped Adam step.  It consumes ``grads``: the clip scales them in
-    place and each gradient's buffer then holds the step's denominator."""
+    place and each gradient's buffer then holds the step's denominator.  The
+    gradient norm before clipping is kept as ``opt.grad_norm``."""
     cfg = model.config
     opt.t += 1
     lr = cfg.lr
     if cfg.warmup_steps > 0:
         lr *= min(1.0, opt.t / cfg.warmup_steps)
     scale = None
-    if cfg.clip_norm > 0:
-        norm = np.sqrt(sum(_square_sum(k, g) for k, g in grads.items()))
-        if norm > cfg.clip_norm:
-            scale = cfg.clip_norm / norm
+    norm = opt.grad_norm = float(np.sqrt(sum(_square_sum(k, g) for k, g in grads.items())))
+    if 0 < cfg.clip_norm < norm:
+        scale = cfg.clip_norm / norm
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
     c1 = 1.0 - b1**opt.t
     c2 = 1.0 - b2**opt.t
@@ -688,6 +724,7 @@ def adam_update(model, grads, opt: AdamState):
 def train_step(model: ToyLM, tokens, mask, opt: AdamState):
     logits, tape = model.forward(tokens)
     loss, acc, dlogits = next_token_loss(logits, tokens, mask)
+    del logits
     if not np.isfinite(loss):
         raise TrainingDiverged(f"loss is {loss} at optimizer step {opt.t}")
     grads = model.backward(tape, dlogits)
@@ -698,6 +735,7 @@ def train_step(model: ToyLM, tokens, mask, opt: AdamState):
 def seq2seq_train_step(model: "ToySeq2Seq", src, tgt_in, tgt_out, mask, opt: AdamState):
     logits, tape = model.forward(src, tgt_in)
     loss, acc, dlogits = masked_cross_entropy(logits, tgt_out, mask)
+    del logits
     if not np.isfinite(loss):
         raise TrainingDiverged(f"loss is {loss} at optimizer step {opt.t}")
     grads = model.backward(tape, dlogits)
@@ -811,13 +849,13 @@ class ToySeq2Seq(_Model):
 
     def backward(self, tape: GradTape, dlogits):
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
-        tape = tape.take()
-        grads, dxf = self._head_backward(tape.pop("xf"), dlogits)
-        dx, d_enc = self.dec_stack.backward(self.params, tape, dxf, grads)
+        tape, grads = tape.take(), {}
+        dx, d_enc = self.dec_stack.backward(
+            self.params, tape, self._head_backward(grads, tape.pop("xf"), dlogits), grads)
         enc_tape = tape.pop("enc")
         dx_enc, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
         self._embed_backward(grads, (tape["tokens"], dx), (enc_tape["tokens"], dx_enc))
-        return grads
+        return {k: grads[k] for k in self.params}
 
     def init_state(self, src) -> DecoderState:
         enc_out, _ = self.encode(src)

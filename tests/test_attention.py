@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -711,22 +712,46 @@ def test_queue_tape_keeps_only_readout_weights():
 
 
 @pytest.mark.parametrize("kind,keys", [
-    ("mlp", {"a", "s", "S", "A", "mask", "kmem", "vmem"}),
-    ("local_to_global", {"a", "A", "mask", "kmem", "vmem"}),
+    ("mlp", {"a", "S", "A", "mask", "Q", "K", "V"}),
+    ("local_to_global", {"a", "A", "mask", "Q", "K", "V"}),
 ])
 def test_additive_tape_keeps_no_chunk_square_arrays(kind, keys):
-    # the backward recomputes the masked chunk scores P, g = a / S and the
-    # readout weights W2; of the (c x c) arrays the tape keeps only the mask
+    # the backward rebuilds the masked chunk scores P, the slot scores s,
+    # g = a / S, the readout weights W2 and the carried memories; of the
+    # (c x c) arrays the tape keeps only the mask.  Q, K and V are taped once,
+    # in the chunk layout the kernel reads, not also in the head layout.
     N = 3 * CHUNK + 5
     c = cfg(site="causal", kind=kind, n=4, d_model=16)
     _, tape = att.mha_forward(make_rng(55).normal(size=(2, N, 16)), None, make_params(c), c)
     cache = tape.arrays["cache"]
     assert set(cache) == keys
+    assert not {"Q", "K", "V"} & set(tape.arrays)
+    chunk, count = att._chunking(N)
+    assert all(cache[k].shape == (2 * count, 2, chunk, 8) for k in "QKV")
     chunk = att._chunking(N)[0]
     square = [k for k, v in cache.items() if v.shape[-2:] == (chunk, chunk)]
     assert square == ["mask"]
     grads, _, _ = att.mha_backward(tape, np.ones((2, N, 16)))
     assert cache == {} and tape.arrays == {}
+
+
+def test_window_layer_training_peak_memory_is_bounded():
+    # tracemalloc peak of one window layer's mha_forward + mha_backward at
+    # B 1, H 4, N 1024, n 32: 8.62 MB here (a 4.33 MB tape), against 9.41 MB
+    # when the queue forward filled a second (c, c + h) block array for its
+    # band weights and the backward a fresh one for W
+    c = cfg(site="causal", kind="window", n=32, heads=4, d_model=64)
+    p = make_params(c)
+    X, dY = make_rng(56).normal(size=(1, 1024, 64)), make_rng(57).normal(size=(1, 1024, 64))
+    att.mha_backward(att.mha_forward(X, None, p, c)[1], dY)
+    tracemalloc.start()
+    try:
+        _, tape = att.mha_forward(X, None, p, c)
+        att.mha_backward(tape, dY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.0e6, f"window forward + backward peaked at {peak / 1e6:.2f} MB"
 
 
 # --- config validation ----------------------------------------------------------

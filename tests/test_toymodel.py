@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -12,7 +14,7 @@ import pytest
 
 from boundedattn import toymodel as tm
 from boundedattn.attention import StrategySpec
-from boundedattn.numerics import finite_diff_grad, make_rng
+from boundedattn.numerics import NumericError, finite_diff_grad, make_rng
 
 
 def lm_config(kind="softmax", n=4, d_model=16, heads=2, layers=2, vocab=11,
@@ -201,6 +203,42 @@ def test_a_second_seq2seq_backward_on_one_tape_is_refused():
     assert tape.arrays == {}
     with pytest.raises(RuntimeError, match="gradient tape already consumed"):
         model.backward(tape, dlogits)
+
+
+@pytest.mark.parametrize("seq2seq", [False, True], ids=["lm", "seq2seq"])
+def test_backward_creates_each_gradient_where_it_lands(seq2seq):
+    # the gradient dict follows params order (the clip norm sums in it), and
+    # each gradient is its own array.  None is zero-filled first: with a
+    # 4096-token vocabulary the embedding and head gradients are most of the
+    # bytes, and the traced peak of the backward must stay within a quarter
+    # of the 524 KB token table above the gradients' own bytes.  It reads
+    # 14 KB (LM) and 26 KB (seq2seq) above them here; a zero-filled dict, into
+    # which the head and token gradients then land, read 538 KB and 546 KB.
+    vocab, rng = 4096, make_rng(3)
+    if seq2seq:
+        model = tm.ToySeq2Seq(dataclasses.replace(seq2seq_config(), vocab=vocab), rng=make_rng(7))
+        src, tgt = rng.integers(0, vocab, size=(2, 5)), rng.integers(0, vocab, size=(2, 4))
+        logits, tape = model.forward(src, tgt)
+        _, _, dlogits = tm.masked_cross_entropy(logits, tgt, np.ones(tgt.shape))
+    else:
+        model = tm.ToyLM(lm_config(kind="mlp", n=3, vocab=vocab))
+        tokens, mask = rng.integers(0, vocab, size=(2, 6)), np.ones((2, 6))
+        mask[:, -1] = 0
+        logits, tape = model.forward(tokens)
+        _, _, dlogits = tm.next_token_loss(logits, tokens, mask)
+    tracemalloc.start()
+    try:
+        grads = model.backward(tape, dlogits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(grads) == list(model.params)
+    for k, g in grads.items():
+        assert g.shape == model.params[k].shape, k
+        assert not any(np.shares_memory(g, p) for p in model.params.values()), k
+        assert not any(np.shares_memory(g, h) for j, h in grads.items() if j != k), k
+    grad_bytes = sum(g.nbytes for g in grads.values())
+    assert peak <= grad_bytes + model.params["tok_emb"].nbytes / 4, (peak, grad_bytes)
 
 
 def test_tied_strategy_weights_are_shared_and_accumulated():
@@ -628,6 +666,38 @@ def test_adam_update_equals_its_expression_form_with_clipping():
         assert np.array_equal(opt.v[k], opt_ref.v[k]), k
 
 
+def test_adam_keeps_the_pre_clip_gradient_norm():
+    cfg = lm_config(kind="mlp", n=3, clip_norm=0.5, warmup_steps=2)
+    model, ref = tm.ToyLM(cfg), tm.ToyLM(cfg)
+    opt, opt_ref = tm.adam_init(model), tm.adam_init(ref)
+    assert opt.grad_norm is None
+    rng = make_rng(6)
+    for _ in range(3):
+        grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+        unclipped = math.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        _ref_adam_update(ref, {k: g.copy() for k, g in grads.items()}, opt_ref)
+        tm.adam_update(model, grads, opt)
+        assert opt.grad_norm == pytest.approx(unclipped, rel=1e-12)
+        assert opt.grad_norm > cfg.clip_norm  # the norm before the clip
+    # keeping the norm moves no training bit
+    for k in model.params:
+        assert np.array_equal(model.params[k], ref.params[k]), k
+
+
+def test_numeric_error_names_the_layer_site_and_strategy():
+    model = tm.ToyLM(lm_config(kind="mlp", n=3))
+    model.params["dec1.attn.wo"][0, 0] = np.nan
+    tokens = make_rng(8).integers(0, 11, size=(2, 6))
+    message = "dec1 attn (causal, mlp): attention output contains NaN/Inf"
+    with pytest.raises(NumericError, match=re.escape(message)) as batch:
+        model.forward(tokens)
+    with pytest.raises(NumericError, match=re.escape(message)) as step:
+        model.step(tokens[:, 0], model.init_state(2))
+    for err in (batch.value, step.value):
+        assert isinstance(err.__cause__, NumericError)
+        assert str(err.__cause__) == "attention output contains NaN/Inf"
+
+
 def test_embedding_scatter_equals_add_at():
     rng = make_rng(5)
     lm, s2s = tm.ToyLM(lm_config(kind="mlp", n=3)), tm.ToySeq2Seq(seq2seq_config())
@@ -636,7 +706,7 @@ def test_embedding_scatter_equals_add_at():
     dec, enc = rng.integers(0, 4, size=(3, 9)), rng.integers(0, 4, size=(3, 6))
     ddec, denc = rng.normal(size=dec.shape + (d,)), rng.normal(size=enc.shape + (d,))
     for model, pairs in ((lm, [(dec, ddec)]), (s2s, [(dec, ddec), (enc, denc)])):
-        grads = model.zero_grads()
+        grads = {}
         model._embed_backward(grads, *pairs)
         tok, pos = np.zeros_like(grads["tok_emb"]), np.zeros_like(grads["pos_emb"])
         for tokens, dx in pairs:
@@ -648,8 +718,11 @@ def test_embedding_scatter_equals_add_at():
 
 def test_training_step_peak_memory_is_bounded():
     # tracemalloc peak of one train step of an mlp ToyLM at N = 256: the
-    # tape holds only what the backward reads and the backward drops each
-    # layer's tape as it goes.  Read 7.37 MB here, against 11.62 MB when the
+    # tape holds only what the backward cannot cheaply rebuild, the backward
+    # drops each layer's tape as it goes, reuses its score-sized buffers and
+    # makes each gradient where it lands.  Read 5.26 MB here; 7.37 MB when
+    # the tape also kept the scores and the carried memories and the
+    # backward began from a zero-filled gradient dict, and 11.62 MB when the
     # tape kept the chunk-square arrays and every tape lived to the end.
     payload = 127
     cfg = tm.ToyModelConfig(
@@ -667,7 +740,7 @@ def test_training_step_peak_memory_is_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8.5e6, f"one train step peaked at {peak / 1e6:.2f} MB"
+    assert peak <= 5.75e6, f"one train step peaked at {peak / 1e6:.2f} MB"
 
 
 def test_training_keeps_its_heap_mapped():
