@@ -42,10 +42,15 @@ decode step adds its one shared control row only to the slots it names.
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
 across heads; each head keeps its own (n x d_head) slot matrices.  The
-strategy object behind a config (:func:`control_for`, ``config.control``)
-decides where it may run, whether its slots accumulate or form a queue, the
-shape of its learned weights and its control rows; this module only picks
-the kernel family.
+learned control (``mlp``) has one form per site, and no option: at the
+sequence sites phi^T is a softmax over positions of W_phi x per slot, n
+pseudo-query attentions whose backward is the softmax's own; at the causal
+site the raw weights exp(W_phi x_t) are written and each slot is divided by
+their running sum.  Nothing clips them: an exp that overflows raises a
+NumericError.  The strategy object behind a config (:func:`control_for`,
+``config.control``) decides where it may run, whether its slots accumulate
+or form a queue, the shape of its learned weights and its control rows;
+this module only picks the kernel family.
 
 Backward passes are a manual per-operation chain (projections, control
 weights, memory build, readout softmax), not a graph engine; every gradient
@@ -77,7 +82,7 @@ SITES = ("encoder_self", "causal", "cross")
 # its memory is the keys and values themselves, one slot per token
 _CONTROLS = {
     "softmax": lambda n, spec: None,
-    "mlp": lambda n, spec: st.MlpControl(n, spec.activation),
+    "mlp": lambda n, spec: st.MlpControl(n),
     "linformer": lambda n, spec: st.LinformerControl(n, spec.max_len),
     "local_to_global": lambda n, spec: st.LocalToGlobalControl(n, spec.global_positions),
     "random": lambda n, spec: st.RandomSlotControl(n, spec.seed, spec.max_len),
@@ -87,7 +92,6 @@ _CONTROLS = {
     "dilated": lambda n, spec: st.DilatedControl(n),
 }
 STRATEGY_KINDS = tuple(_CONTROLS)
-NORMALIZATIONS = ("auto", "sequence", "prefix")
 
 
 @dataclass(frozen=True)
@@ -95,8 +99,6 @@ class StrategySpec:
     """Configuration-level strategy descriptor; learned weights live in params."""
 
     kind: str
-    activation: str = "exp"  # mlp
-    normalization: str = "auto"  # mlp: sequence | prefix | auto (per site)
     seed: int = 0  # random slots
     ratio: int = 4  # compressive chunk size
     global_positions: tuple[int, ...] = ()  # local_to_global; default first n
@@ -106,8 +108,6 @@ class StrategySpec:
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -138,20 +138,8 @@ class AttentionConfig:
         if self.n < 1:
             raise ValueError("memory needs at least one slot")
         control = self.control
-        if control is None:
-            return
-        causal = self.site == "causal"
-        if not (control.causal if causal else control.sequence):
+        if control is not None and not (control.causal if self.site == "causal" else control.sequence):
             raise ValueError(f"{self.strategy.kind} control is illegal at the {self.site} site")
-        if not isinstance(control, st.MlpControl):
-            return
-        wrong = "sequence" if causal else "prefix"
-        if self.strategy.normalization == wrong:
-            raise ValueError(f"{wrong} normalization does not fit the {self.site} site")
-        if causal and control.activation == "relu":
-            # a slot's prefix normalizer is zero until its first positive
-            # pre-activation, and the readout divides by it
-            raise ValueError("strategy.activation 'relu' is illegal at the causal site")
 
     @property
     def control(self) -> st.Control | None:
@@ -273,12 +261,6 @@ def fold_outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 # --- control weights ----------------------------------------------------------
-
-
-def _mlp_alpha(control: st.MlpControl, X: np.ndarray, weights: np.ndarray):
-    """Pre-activations and raw slot weights of the learned control (clamped)."""
-    Z = X @ weights.T
-    return Z, st.activation_forward(control.activation, Z, clamp=st.EXP_CLAMP)
 
 
 def _mask_unwritten(s: np.ndarray, written: np.ndarray) -> np.ndarray:
@@ -652,44 +634,45 @@ def _softmax_backward(dout, Q, K, V, cache, tau):
     return dQ, dK, dV
 
 
-def _slot_memory(phi, K, V):
+def _slot_memory(phiT, K, V):
     """The slot memory (phi^T K, phi^T V) of a whole key/value sequence.
 
-    phi is (B, Nk, n), shared across heads, or (B, H, Nk, n) for cluster
+    phiT is (B, n, Nk), shared across heads, or (B, H, n, Nk) for cluster
     control; K and V are (B, H, Nk, d_head).  Both are batched matmuls.
     """
-    phiT = _swap(phi) if phi.ndim == 4 else _swap(phi)[:, None]
+    if phiT.ndim == 3:
+        phiT = phiT[:, None]
     return np.matmul(phiT, K), np.matmul(phiT, V)
 
 
-def _slot_memory_backward(phi, K, V, dkt, dvt):
-    """(dK, dV, dphi) of :func:`_slot_memory` from the memory gradients;
-    dphi is None for cluster control, whose membership is held fixed."""
-    if phi.ndim == 4:
+def _slot_memory_backward(phiT, K, V, dkt, dvt):
+    """(dK, dV, dphiT) of :func:`_slot_memory` from the memory gradients;
+    dphiT is None for cluster control, whose membership is held fixed."""
+    if phiT.ndim == 4:
+        phi = _swap(phiT)
         return np.matmul(phi, dkt), np.matmul(phi, dvt), None
-    dphi = np.matmul(K, _swap(dkt)).sum(axis=1)
-    dphi += np.matmul(V, _swap(dvt)).sum(axis=1)
-    return np.matmul(phi[:, None], dkt), np.matmul(phi[:, None], dvt), dphi
+    phi = _swap(phiT)[:, None]
+    dphiT = np.matmul(dkt, _swap(K)).sum(axis=1)
+    dphiT += np.matmul(dvt, _swap(V)).sum(axis=1)
+    return np.matmul(phi, dkt), np.matmul(phi, dvt), dphiT
 
 
-def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K, tape: dict):
-    """Control over a whole key/value sequence (the encoder_self and cross sites).
+def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K):
+    """Transposed control phi^T over a whole key/value sequence (the
+    encoder_self and cross sites): (B, n, Nk), the layout
+    :func:`_slot_memory` multiplies by, or (B, H, n, Nk) for cluster control.
 
-    (B, Nk, n), or (B, H, Nk, n) for cluster control; the mlp strategy's
-    pre-activations and normalizer go into ``tape`` for its backward.  A
-    slot that no token writes gets a zero phi column
-    (:func:`strategies.sequence_normalizer`).
+    The learned control is a softmax over positions per slot, of the scores
+    W_phi x_i: n pseudo-query attentions (:func:`pseudo_query_memory`).
     """
     control = config.control
     if isinstance(control, st.MlpControl):
-        Z, alpha = _mlp_alpha(control, Xkv, params.strategy_weights)
-        total = st.sequence_normalizer(alpha, axis=1)  # (B, n)
-        tape.update(Z=Z, alpha=alpha, total=total)
-        return alpha / total[:, None, :]
+        return softmax_rows(np.matmul(params.strategy_weights, _swap(Xkv)))
     if isinstance(control, st.ClusterControl):
-        return control.phi_from_keys(K)
+        return _swap(control.phi_from_keys(K))
     B, Nk, _ = Xkv.shape
-    return np.broadcast_to(st.phi_matrix(control, Nk, params.strategy_weights), (B, Nk, config.n))
+    phiT = _swap(st.phi_matrix(control, Nk, params.strategy_weights))
+    return np.broadcast_to(phiT, (B, config.n, Nk))
 
 
 # --- public batch forward/backward ----------------------------------------------
@@ -731,8 +714,8 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
         # or under a bounded control the sequence's slots (phi^T K, phi^T V)
         Km, Vm = K, V
         if control is not None:
-            ar["phi"] = _sequence_phi(config, params, Xkv, K, ar)
-            Km, Vm = _slot_memory(ar["phi"], K, V)
+            ar["phiT"] = _sequence_phi(config, params, Xkv, K)
+            Km, Vm = _slot_memory(ar["phiT"], K, V)
         out, cache = _softmax_forward(Q, Km, Vm, tau, config.site == "causal")
         ar.update(Q=Q, K=K, V=V, Km=Km, Vm=Vm, family="softmax")
     elif control.stride:
@@ -741,8 +724,7 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     else:
         normalize = isinstance(control, st.MlpControl)
         if normalize:
-            ar["Z"], A = _mlp_alpha(control, Xq, params.strategy_weights)
-            ar["alpha"] = A
+            A = ar["alpha"] = st.activation_forward(Xq @ params.strategy_weights.T)
         else:
             phi = st.phi_matrix(control, N, params.strategy_weights)
             A = np.broadcast_to(phi, (B, N, config.n))
@@ -782,14 +764,9 @@ def mha_backward(tape: GradTape, d_out):
     if family == "softmax":
         K, V = ar.pop("K"), ar.pop("V")
         dQ, dK, dV = _softmax_backward(dout_h, ar.pop("Q"), ar.pop("Km"), ar.pop("Vm"), cache, tau)
-        if "phi" in ar:
-            dK, dV, dA = _slot_memory_backward(ar["phi"], K, V, dK, dV)
+        if "phiT" in ar:
+            dK, dV, dA = _slot_memory_backward(ar["phiT"], K, V, dK, dV)
         del K, V
-        if "total" in ar:  # learned control, phi = alpha / total over the sequence
-            dphi, total = dA, ar["total"]
-            dA = dphi / total[:, None, :]
-            dtotal = -np.sum(dphi * ar["phi"], axis=1) / total
-            dA += dtotal[:, None, :]
     elif family == "queue":
         dQ, dK, dV = _queue_causal_backward(
             dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, config.control.stride, tau)
@@ -810,19 +787,21 @@ def mha_backward(tape: GradTape, d_out):
     dXq = dQf @ ar["wq"]
     dXkv = dKf @ ar["wk"] + dVf @ ar["wv"]
 
-    if "Z" in ar:  # learned control, alpha = act(x W_phi^T)
-        Z, alpha = ar["Z"], ar["alpha"]
-        dZ = dA * st.activation_grad(config.control.activation, Z, alpha, clamp=st.EXP_CLAMP)
-        x_phi = Xq if config.site == "causal" else Xkv
-        grads["strategy_weights"] = fold_outer(dZ, x_phi)
-        dx_phi = dZ @ ar["sw"]
-        if config.site == "causal":
-            dXq = dXq + dx_phi
-        else:
-            dXkv = dXkv + dx_phi
-    elif dA is not None and ar["sw"] is not None:  # linformer: phi rows are weight columns
+    if isinstance(config.control, st.MlpControl):
+        if config.site == "causal":  # alpha = exp(x W_phi^T)
+            dZ = dA * ar["alpha"]
+            grads["strategy_weights"] = fold_outer(dZ, Xq)
+            dXq = dXq + dZ @ ar["sw"]
+        else:  # phi^T = softmax over positions of W_phi x^T
+            dZT = softmax_rows_backward(ar["phiT"], dA, out=dA)
+            grads["strategy_weights"] = np.matmul(dZT, Xkv).sum(axis=0)
+            dXkv = dXkv + np.matmul(_swap(dZT), ar["sw"])
+    elif dA is not None and ar["sw"] is not None:  # linformer: phi^T is the weights' first columns
+        dphiT = dA.sum(axis=0)
+        if config.site == "causal":  # the scan's dA is (B, N, n)
+            dphiT = dphiT.T
         gw = np.zeros_like(ar["sw"])
-        gw[:, : dA.shape[1]] = dA.sum(axis=0).T
+        gw[:, : dphiT.shape[1]] = dphiT
         grads["strategy_weights"] = gw
 
     if config.site == "cross":
@@ -930,7 +909,7 @@ def init_attn_state(
         K = _split_heads(enc @ params.wk.T, H)
         V = _split_heads(enc @ params.wv.T, H)
         if control is not None:
-            K, V = _slot_memory(_sequence_phi(config, params, enc, K, {}), K, V)
+            K, V = _slot_memory(_sequence_phi(config, params, enc, K), K, V)
         return AttnState(config=config, ktilde=K, vtilde=V)
 
     if config.site != "causal":
@@ -977,11 +956,11 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
             read = slice(t + 1) if control is None else slice(t % control.stride, None, control.stride)
             kt, vt = kt[:, :, read], vt[:, :, read]
         elif learned:
-            _, alpha = _mlp_alpha(control, x, params.strategy_weights)
+            alpha = st.activation_forward(x @ params.strategy_weights.T)
             w = alpha[:, None, :, None]
             kt += w * k[:, :, None, :]
             vt += w * v[:, :, None, :]
-            state.norm += np.abs(alpha)[:, None, :]
+            state.norm += alpha[:, None, :]
         else:
             # one control row for the whole batch: add it to the slots it
             # names (a one-hot or zero row writes one slot or none); a dense

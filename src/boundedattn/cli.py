@@ -44,10 +44,16 @@ CLI_SET = {"model": {"causal", "encoder", "cross", "seed"}, "bench": {"seed"}}
 # (type, default) of the keys that no field holds, or whose field has no default
 EXTRA = {
     "": {"seed": (int, 0), "out_dir": (str, "out")},
-    "strategy": {"kind": (str, "mlp"), "n": (int, 32)},
+    "strategy": {
+        "kind": (str, "mlp"), "n": (int, 32), "activation": (str, "exp"), "normalization": (str, "auto"),
+    },
     "train": {"task": (str, "copy"), "steps": (int, 2000), "eval_batches": (int, 8)},
     "decode": {"ckpt": (str | None, None), "prefix": (tuple[int, ...], (0,)), "max_len": (int, 32)},
 }
+# strategy keys that older configs carry and that select nothing: each takes
+# only the values that name the one learned control of the causal site, which
+# the ``strategy`` section configures
+LEGACY_STRATEGY = {"activation": ("exp",), "normalization": ("auto", "prefix")}
 
 
 def _section_keys(section: str, cls) -> dict:
@@ -82,7 +88,7 @@ FLAGS = {
     },
     "train": {
         **_COMMON, "strategy": "strategy.kind", "n": "strategy.n",
-        "activation": "strategy.activation", "task": "train.task", "steps": "train.steps",
+        "task": "train.task", "steps": "train.steps",
         "length": "train.min_len train.max_len", "vocab": "train.vocab", "corpus": "train.corpus",
     },
     "decode": {
@@ -209,6 +215,10 @@ def _build(section: str, values: dict, **cli_set):
 
 def model_config_from(cfg: dict) -> tm.ToyModelConfig:
     cfg = _typed(cfg)
+    for key, legal in LEGACY_STRATEGY.items():
+        value = cfg["strategy"][key]
+        if value not in legal:
+            raise ConfigError(f"strategy.{key}: expected {' or '.join(map(repr, legal))}, got {value!r}")
     spec = _build("strategy", cfg["strategy"])
     causal = tm.SiteSpec(spec, cfg["strategy"]["n"])
     model_cfg = _build("model", cfg["model"], causal=causal, seed=cfg["seed"])

@@ -18,8 +18,9 @@ are arguments, so one object serves every layer and every call.
   over the most recent n tokens
 * ``DilatedControl(n)`` -- two interleaved FIFO queues covering every other
   token within a 2n window
-* ``MlpControl(n, activation)`` -- learned: alpha_t = act(W_phi x_t),
-  normalized over the sequence (encoder/cross) or over the prefix (causal)
+* ``MlpControl(n)`` -- learned: exp(W_phi x_t), normalized per slot over
+  the sequence (encoder/cross: a softmax over positions) or over the prefix
+  (causal)
 
 Every object says where it may run (``causal``: the decoder's causal site;
 ``sequence``: the encoder-self and cross sites, which see a whole
@@ -36,9 +37,7 @@ from typing import ClassVar
 import numpy as np
 
 from .memory import BoundedMemory, TransitionOp, step
-from .numerics import as_matrix, as_vector, check_finite, make_rng
-
-EXP_CLAMP = 30.0  # training-path guard for exp(); equivalence paths never clamp
+from .numerics import as_matrix, as_vector, check_finite, make_rng, softmax_rows
 
 
 # --- strategies ----------------------------------------------------------------
@@ -187,18 +186,14 @@ class DilatedControl(WindowControl):
 
 @dataclass(frozen=True)
 class MlpControl(Control):
-    """Learned control: alpha_t = activation(W_phi @ x_t), W_phi of shape (n, d_model).
+    """Learned control: alpha_t = exp(W_phi @ x_t), W_phi of shape (n, d_model).
 
     The site picks how the raw alphas become control weights: encoder-self
-    and cross divide by the sum over the whole sequence, causal by the
-    running per-slot sum (the prefix), so it never looks at future tokens.
+    and cross divide by the sum over the whole sequence, which makes each
+    slot's weights a softmax over positions (:func:`phi_mlp_sequence`);
+    causal divides by the running per-slot sum (the prefix), so it never
+    looks at future tokens.
     """
-
-    activation: str = "exp"  # "exp" | "relu" | "sigmoid"
-
-    def __post_init__(self):
-        if self.activation not in ("exp", "relu", "sigmoid"):
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     def weight_shape(self, d_model):
         return (self.n, d_model)
@@ -227,65 +222,34 @@ def phi_matrix(control: Control, length: int, weights: np.ndarray | None = None)
     return control.phi_rows(0, length, weights)
 
 
-# --- activations -------------------------------------------------------------
+# --- learned control ------------------------------------------------------------
 
 
-def activation_forward(name: str, z: np.ndarray, clamp: float | None = None) -> np.ndarray:
-    if name == "exp":
-        if clamp is not None:
-            z = np.clip(z, -clamp, clamp)
-        a = np.exp(z)
-        check_finite(a, "exp activation (inputs too large; pass a clamp in training paths)")
-        return a
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name!r}")
+def activation_forward(z: np.ndarray) -> np.ndarray:
+    """exp(z), the causal learned control's raw slot weights.
 
-
-def activation_grad(name: str, z: np.ndarray, a: np.ndarray, clamp: float | None = None) -> np.ndarray:
-    """d activation / d z, expressed from the pre-activation and its output."""
-    if name == "exp":
-        g = a.copy()
-        if clamp is not None:
-            g[(z <= -clamp) | (z >= clamp)] = 0.0
-        return g
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(f"unknown activation {name!r}")
-
-
-# --- learned and cluster control, whole-sequence forms ---------------------------
-
-
-def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray, activation: str = "exp") -> np.ndarray:
-    """Sequence-normalized learned control for a whole input.
-
-    alpha_i = act(W x_i), phi_i = alpha_i / sum_j alpha_j (per slot), so the
-    control weights written to each slot sum to exactly one over the sequence.
-    A slot that no token writes (relu: every pre-activation <= 0) keeps a
-    zero column, so its memory row is the zero key/value pair.
+    Nothing is clipped: a pre-activation above about 709 overflows, and that
+    raises a NumericError.
     """
-    alphas = activation_forward(activation, as_matrix(X) @ as_matrix(weights).T)
-    return alphas / sequence_normalizer(alphas, axis=0)
+    with np.errstate(over="ignore"):  # reported as the NumericError below
+        a = np.exp(z)
+    return check_finite(a, "exp of the learned control's pre-activations")
 
 
-def sequence_normalizer(alphas: np.ndarray, axis: int) -> np.ndarray:
-    """Per-slot sum of the non-negative raw weights ``alphas`` over ``axis``,
-    1 where it is 0, so that a slot no token writes divides 0 by 1."""
-    total = alphas.sum(axis=axis)
-    total[total == 0.0] = 1.0
-    return total
+def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sequence-normalized learned control for a whole input, (N, n).
+
+    phi_i = exp(W x_i) / sum_j exp(W x_j) per slot: column l is a softmax
+    over positions with the l-th weight row as a context-independent query,
+    so the control weights written to each slot sum to one over the sequence.
+    """
+    return softmax_rows(as_matrix(weights) @ as_matrix(X).T).T
 
 
 def phi_mlp_prefix(
     x_t: np.ndarray,
     weights: np.ndarray,
     running_alpha_sum: np.ndarray,
-    activation: str = "exp",
 ) -> tuple[np.ndarray, np.ndarray]:
     """One causal step of the learned control.
 
@@ -294,7 +258,7 @@ def phi_mlp_prefix(
     the normalized readout.  Never reads anything after position t.
     """
     weights = as_matrix(weights)
-    alpha = activation_forward(activation, as_vector(x_t) @ weights.T)
+    alpha = activation_forward(as_vector(x_t) @ weights.T)
     running = as_vector(running_alpha_sum, weights.shape[0])
     return alpha, running + alpha
 

@@ -721,26 +721,37 @@ def adam_update(model, grads, opt: AdamState):
         model.params[k] -= step
 
 
-def train_step(model: ToyLM, tokens, mask, opt: AdamState):
-    logits, tape = model.forward(tokens)
-    loss, acc, dlogits = next_token_loss(logits, tokens, mask)
-    del logits
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"loss is {loss} at optimizer step {opt.t}")
-    grads = model.backward(tape, dlogits)
+def _optimizer_step(model, opt: AdamState, forward, loss_of):
+    """One Adam step on the loss ``loss_of(logits)`` of ``forward()``.
+
+    A non-finite loss raises TrainingDiverged, and a NumericError of the
+    forward or backward is raised again, chained; both name the step as the
+    curve numbers it, from 1.
+    """
+    step = f"optimizer step {opt.t + 1}"
+    try:
+        logits, tape = forward()
+        loss, acc, dlogits = loss_of(logits)
+        del logits
+        if not np.isfinite(loss):
+            raise TrainingDiverged(f"loss is {loss} at {step}")
+        grads = model.backward(tape, dlogits)
+    except NumericError as exc:
+        raise NumericError(f"{step}: {exc}") from exc
     adam_update(model, grads, opt)
     return loss, acc
+
+
+def train_step(model: ToyLM, tokens, mask, opt: AdamState):
+    return _optimizer_step(
+        model, opt, lambda: model.forward(tokens),
+        lambda logits: next_token_loss(logits, tokens, mask))
 
 
 def seq2seq_train_step(model: "ToySeq2Seq", src, tgt_in, tgt_out, mask, opt: AdamState):
-    logits, tape = model.forward(src, tgt_in)
-    loss, acc, dlogits = masked_cross_entropy(logits, tgt_out, mask)
-    del logits
-    if not np.isfinite(loss):
-        raise TrainingDiverged(f"loss is {loss} at optimizer step {opt.t}")
-    grads = model.backward(tape, dlogits)
-    adam_update(model, grads, opt)
-    return loss, acc
+    return _optimizer_step(
+        model, opt, lambda: model.forward(src, tgt_in),
+        lambda logits: masked_cross_entropy(logits, tgt_out, mask))
 
 
 def train(model, task: TaskSpec, steps: int, rng: np.random.Generator):

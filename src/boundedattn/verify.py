@@ -97,7 +97,7 @@ def suite_batch_recurrent() -> SuiteResult:
         "cluster": st.cluster_phi(st.cluster_assign(K, n, 6, make_rng(3))),
         "mlp-sequence": st.phi_mlp_sequence(X, rng.normal(size=(n, d))),
         # the causal learned control writes its raw alphas into the memory
-        "mlp-prefix": st.activation_forward("exp", X @ rng.normal(size=(n, d)).T),
+        "mlp-prefix": st.activation_forward(X @ rng.normal(size=(n, d)).T),
     }
     for name, phis in controls.items():
         batch = build_memory(phis, K, V)
@@ -257,8 +257,7 @@ def suite_gradcheck() -> SuiteResult:
     details = []
 
     lm_cases = [
-        ("mlp-exp", StrategySpec(kind="mlp")),
-        ("mlp-sigmoid", StrategySpec(kind="mlp", activation="sigmoid")),
+        ("mlp", StrategySpec(kind="mlp")),
         ("linformer", StrategySpec(kind="linformer", max_len=16)),
     ]
     tokens = make_rng(66).integers(0, 7, size=(2, 6))
@@ -280,12 +279,11 @@ def suite_gradcheck() -> SuiteResult:
         worst = max(worst, err)
         details.append(f"{name} {err:.1e}")
 
-    # relu variant on sequence normalization (encoder site); the frozen seeds
-    # keep every relu pre-activation away from the kink and no slot all-zero
+    # the learned control at all three sites: the prefix and both sequence forms
     cfg = ToyModelConfig(
         layers=2, d_model=8, heads=2, ffn_mult=2, vocab=7, max_positions=12,
-        causal=SiteSpec(StrategySpec(kind="mlp", activation="sigmoid"), 3),
-        encoder=SiteSpec(StrategySpec(kind="mlp", activation="relu"), 3),
+        causal=SiteSpec(StrategySpec(kind="mlp"), 3),
+        encoder=SiteSpec(StrategySpec(kind="mlp"), 3),
         cross=SiteSpec(StrategySpec(kind="mlp"), 3),
     )
     model = ToySeq2Seq(cfg, rng=make_rng(1))
@@ -301,7 +299,7 @@ def suite_gradcheck() -> SuiteResult:
 
     err = _gradcheck_model(model, forward_loss_s2s)
     worst = max(worst, err)
-    details.append(f"mlp-relu(enc)+cross {err:.1e}")
+    details.append(f"seq2seq mlp at every site {err:.1e}")
     return _result("gradcheck", worst, 1e-4, "; ".join(details), t0)
 
 

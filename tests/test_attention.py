@@ -13,7 +13,7 @@ from boundedattn.strategies import phi_mlp_sequence
 
 def cfg(site="causal", kind="mlp", n=3, heads=2, d_model=8, **kw):
     spec_kw = {}
-    for key in ("activation", "normalization", "seed", "ratio", "global_positions", "max_len"):
+    for key in ("seed", "ratio", "global_positions", "max_len"):
         if key in kw:
             spec_kw[key] = kw.pop(key)
     spec = att.StrategySpec(kind=kind, **spec_kw)
@@ -62,7 +62,7 @@ def test_identity_control_recovers_softmax_causal():
 STREAMABLE = [
     ("softmax", {}),
     ("mlp", {}),
-    ("mlp", {"activation": "sigmoid"}),
+    ("mlp", {"temperature": 0.5}),
     ("linformer", {"max_len": 16}),
     ("random", {"seed": 11, "max_len": 16}),
     ("compressive", {"ratio": 4}),
@@ -91,7 +91,7 @@ CHUNK = att._CHUNK
 MULTI_CHUNK_LENGTHS = (127, 128, 129, 261)
 MULTI_CHUNK = [
     ("mlp", {}),
-    ("mlp", {"activation": "sigmoid"}),
+    ("mlp", {"temperature": 0.5}),
     ("linformer", {"max_len": 261}),
     ("random", {"seed": 11, "max_len": 261}),
     ("compressive", {"ratio": 70}),  # 4 slots reach 280 tokens
@@ -288,14 +288,15 @@ def test_dense_control_decode_step_updates_the_slots_as_a_view():
     assert peak < 2 * memory
 
 
-def test_prefix_normalizer_error_names_the_site_kind_and_step(monkeypatch):
+def test_prefix_normalizer_error_names_the_site_kind_and_step():
     c = cfg(site="causal", kind="mlp", n=3)
     p = make_params(c)
     state = att.init_attn_state(c, p, batch=2, capacity=8)
     state.t = 5
-    # a control that writes no weight leaves the prefix normalizer at zero
-    monkeypatch.setattr(att, "_mlp_alpha", lambda control, X, w: (None, np.zeros((len(X), 3))))
-    x = make_rng(50).normal(size=(2, c.d_model))
+    # pre-activations below about -745 underflow exp to 0: a control that
+    # writes no weight leaves the prefix normalizer at zero
+    p.strategy_weights = np.full((3, c.d_model), -1e3)
+    x = np.abs(make_rng(50).normal(size=(2, c.d_model)))
     with pytest.raises(NumericError, match=r"causal site \(mlp control\) at decode step 5"):
         att.stream_step(x, p, c, state)
 
@@ -383,7 +384,7 @@ def test_head_independence():
     rng = make_rng(8)
     N, d, heads = 6, 8, 2
     X = rng.normal(size=(N, d))
-    c = cfg(site="encoder_self", kind="mlp", normalization="sequence", n=3, d_model=d, heads=heads)
+    c = cfg(site="encoder_self", kind="mlp", n=3, d_model=d, heads=heads)
     p = make_params(c, seed=2)
     p.wo = np.eye(d)
     y0, _ = att.mha_forward(X, None, p, c)
@@ -436,8 +437,7 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
     rng = make_rng(24)
     N, d = 5, 4
     X = rng.normal(size=(N, d))
-    c = cfg(site="encoder_self", kind="mlp", normalization="sequence",
-            n=1, heads=1, d_model=d, temperature=1.0)
+    c = cfg(site="encoder_self", kind="mlp", n=1, heads=1, d_model=d, temperature=1.0)
     p = make_params(c, seed=6)
     y, _ = att.mha_forward(X, None, p, c)
     phi = softmax(X @ p.strategy_weights[0])
@@ -448,6 +448,26 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
 # --- equivalence with the memory-level ops ----------------------------------------
 
 
+def _memory_level_causal_mlp(X, p, c):
+    """The causal learned layer as a per-head recurrence through memory.py."""
+    from boundedattn.memory import readout_normalized, step as mem_step, zero_memory
+    from boundedattn.strategies import phi_mlp_prefix
+
+    (N, d), H, dh = X.shape, c.heads, c.d_head
+    Q = (X @ p.wq.T).reshape(N, H, dh)
+    K = (X @ p.wk.T).reshape(N, H, dh)
+    V = (X @ p.wv.T).reshape(N, H, dh)
+    out = np.zeros((N, H, dh))
+    for h in range(H):
+        state = zero_memory(c.n, dh, with_norm=True)
+        total = np.zeros(c.n)
+        for t in range(N):
+            alpha, total = phi_mlp_prefix(X[t], p.strategy_weights, total)
+            state = mem_step(state, alpha, K[t, h], V[t, h], alpha=alpha)
+            out[t, h] = readout_normalized(Q[t, h], state, temperature=c.tau)
+    return out.reshape(N, d) @ p.wo.T
+
+
 def test_causal_mlp_matches_memory_level_normalized_readout():
     rng = make_rng(31)
     N, d, n = 8, 8, 3
@@ -455,27 +475,61 @@ def test_causal_mlp_matches_memory_level_normalized_readout():
     c = cfg(site="causal", kind="mlp", n=n, d_model=d, heads=2, temperature=1.0)
     p = make_params(c, seed=12)
     y, _ = att.mha_forward(X, None, p, c)
+    assert np.abs(y - _memory_level_causal_mlp(X, p, c)).max() <= 1e-10
 
-    # oracle: per-head recurrence through the memory module
-    from boundedattn.memory import step as mem_step, zero_memory
-    from boundedattn.strategies import phi_mlp_prefix
 
-    H, dh = c.heads, c.d_head
-    Q = (X @ p.wq.T).reshape(N, H, dh)
-    K = (X @ p.wk.T).reshape(N, H, dh)
-    V = (X @ p.wv.T).reshape(N, H, dh)
-    out = np.zeros((N, H, dh))
-    for h in range(H):
-        state = zero_memory(n, dh, with_norm=True)
-        total = np.zeros(n)
-        for t in range(N):
-            alpha, total = phi_mlp_prefix(X[t], p.strategy_weights, total)
-            state = mem_step(state, alpha, K[t, h], V[t, h], alpha=alpha)
-            from boundedattn.memory import readout_normalized
+def _scaled_phi(p, X, top):
+    """``p`` with W_phi scaled so that the largest W_phi x over ``X`` is ``top``."""
+    p.strategy_weights = p.strategy_weights * (top / (X @ p.strategy_weights.T).max())
+    return p
 
-            out[t, h] = readout_normalized(Q[t, h], state, temperature=1.0)
-    want = out.reshape(N, d) @ p.wo.T
-    assert np.abs(y - want).max() <= 1e-10
+
+def test_causal_mlp_at_large_pre_activations_is_unclipped():
+    # exp(W_phi x) with W_phi x up to 40: batch, streaming and the
+    # memory-level oracle agree; near 800 exp overflows, which is an error
+    rng = make_rng(33)
+    N, d = 40, 8
+    X = rng.normal(size=(N, d))
+    c = cfg(site="causal", kind="mlp", n=4, d_model=d, heads=2)
+    p = _scaled_phi(make_params(c, seed=14), X, 40.0)
+    y, _ = att.mha_forward(X, None, p, c)
+    state = att.init_attn_state(c, p, batch=1, capacity=N)
+    stream = np.concatenate([att.stream_step(X[t: t + 1], p, c, state) for t in range(N)])
+    assert np.abs(y - stream).max() <= 1e-10
+    assert np.abs(y - _memory_level_causal_mlp(X, p, c)).max() <= 1e-10
+
+    p = _scaled_phi(p, X, 800.0)
+    with pytest.raises(NumericError, match="exp of the learned control"):
+        att.mha_forward(X, None, p, c)
+    state = att.init_attn_state(c, p, batch=1, capacity=N)
+    x_top = X[(X @ p.strategy_weights.T).max(axis=1).argmax()][None]
+    with pytest.raises(NumericError, match="exp of the learned control"):
+        att.stream_step(x_top, p, c, state)
+
+
+@pytest.mark.parametrize("site", ["encoder_self", "cross"])
+def test_sequence_mlp_at_large_pre_activations_is_n_pseudo_query_attentions(site):
+    # with W_phi x up to 100 the memory is still n softmax attentions over
+    # positions, one per weight row, and every slot's weights sum to one
+    rng = make_rng(34)
+    N, Nk, d = 6, 9, 8
+    X = rng.normal(size=(2, N, d))
+    Xkv = rng.normal(size=(2, Nk, d)) if site == "cross" else None
+    kv = X if Xkv is None else Xkv
+    c = cfg(site=site, kind="mlp", n=3, d_model=d, heads=2)
+    p = _scaled_phi(make_params(c, seed=15), kv.reshape(-1, d), 100.0)
+    _, tape = att.mha_forward(X, Xkv, p, c)
+    ar = tape.arrays
+    dh = c.d_head
+    for b in range(2):
+        K, V = kv[b] @ p.wk.T, kv[b] @ p.wv.T
+        for h in range(c.heads):
+            heads = slice(h * dh, (h + 1) * dh)
+            want_k = att.pseudo_query_memory(p.strategy_weights, kv[b], K[:, heads])
+            want_v = att.pseudo_query_memory(p.strategy_weights, kv[b], V[:, heads])
+            assert np.abs(ar["Km"][b, h] - want_k).max() <= 1e-12
+            assert np.abs(ar["Vm"][b, h] - want_v).max() <= 1e-12
+    assert np.abs(ar["phiT"].sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 def test_causal_window_matches_direct_window_attention():
@@ -522,13 +576,13 @@ def _check_param_grad(config, params, X, Xkv, R, getter, setter, analytic, tol=1
 
 GRAD_CASES = [
     ("causal", "mlp", {}),
-    ("causal", "mlp", {"activation": "sigmoid"}),
+    ("causal", "mlp", {"temperature": 0.5}),
     ("causal", "linformer", {"max_len": 12}),
     ("causal", "window", {}),
     ("causal", "random", {"seed": 2, "max_len": 12}),
     ("causal", "softmax", {}),
     ("encoder_self", "mlp", {}),
-    ("encoder_self", "mlp", {"activation": "relu"}),
+    ("encoder_self", "mlp", {"temperature": 0.5}),
     ("encoder_self", "linformer", {"max_len": 12}),
     ("cross", "mlp", {}),
     ("encoder_self", "softmax", {}),
@@ -757,18 +811,9 @@ def test_window_layer_training_peak_memory_is_bounded():
 # --- config validation ----------------------------------------------------------
 
 
-def test_strategy_spec_rejects_unknown_normalization():
-    with pytest.raises(ValueError, match="normalization"):
-        att.StrategySpec(kind="mlp", normalization="bogus")
-    for norm in ("auto", "sequence", "prefix"):
-        att.StrategySpec(kind="mlp", normalization=norm)
-
-
 def test_config_rejects_future_peeking_causal_strategies():
     with pytest.raises(ValueError):
         cfg(site="causal", kind="cluster", n=3)
-    with pytest.raises(ValueError):
-        cfg(site="causal", kind="mlp", normalization="sequence", n=3)
     with pytest.raises(ValueError):
         cfg(site="encoder_self", kind="window", n=3)
     with pytest.raises(ValueError):
@@ -776,15 +821,6 @@ def test_config_rejects_future_peeking_causal_strategies():
             heads=3, d_model=8, d_head=4, site="causal",
             strategy=att.StrategySpec(kind="softmax"), n=4,
         )
-
-
-def test_config_rejects_a_relu_control_only_at_the_causal_site():
-    # its prefix normalizer is zero until a slot's first positive pre-activation
-    with pytest.raises(ValueError, match="strategy.activation"):
-        cfg(site="causal", kind="mlp", activation="relu", n=3)
-    for site in ("encoder_self", "cross"):
-        cfg(site=site, kind="mlp", activation="relu", n=3)
-    cfg(site="causal", kind="mlp", activation="sigmoid", n=3)
 
 
 def _readme_site_table():

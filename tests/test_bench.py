@@ -1,4 +1,7 @@
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,3 +156,11 @@ def test_latency_monotone_in_slots_within_noise():
             times[n].append(bm._timed_decode(model, spec.batch, 64, spec.warmup)[0])
     lat = {n: float(np.median(np.concatenate(t))) for n, t in times.items()}
     assert lat[16] >= 0.8 * lat[2]
+
+
+def test_the_benchmark_self_test_passes():
+    # the benchmark's tracer patches library functions by name: renaming one
+    # fails this run
+    out = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=Path(__file__).parents[1],
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr

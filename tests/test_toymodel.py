@@ -21,7 +21,7 @@ def lm_config(kind="softmax", n=4, d_model=16, heads=2, layers=2, vocab=11,
               max_positions=16, **kw):
     spec_kw = {
         k: kw.pop(k)
-        for k in ("activation", "normalization", "max_len", "seed", "ratio", "global_positions")
+        for k in ("max_len", "seed", "ratio", "global_positions")
         if k in kw
     }
     return tm.ToyModelConfig(
@@ -108,11 +108,11 @@ def _model_gradcheck(model, forward_loss, keys=None, tol=1e-4):
 
 @pytest.mark.parametrize("kind,extra", [
     ("mlp", {}),
-    ("mlp", {"activation": "sigmoid"}),
+    ("mlp", {"tie_phi_across_layers": False}),
     ("linformer", {"max_len": 16}),
 ])
 def test_lm_gradients_match_finite_differences(kind, extra):
-    cfg = lm_config(kind=kind, n=3, d_model=8, heads=2, vocab=7, max_positions=8)
+    cfg = lm_config(kind=kind, n=3, d_model=8, heads=2, vocab=7, max_positions=8, **extra)
     model = tm.ToyLM(cfg)
     tokens = make_rng(9).integers(0, 7, size=(2, 6))
     mask = np.ones((2, 6))
@@ -128,14 +128,11 @@ def test_lm_gradients_match_finite_differences(kind, extra):
     _model_gradcheck(model, forward_loss)
 
 
-def _seq2seq_gradcheck(tie_phi_across_layers, enc_activation="relu"):
+def _seq2seq_gradcheck(tie_phi_across_layers):
     cfg = seq2seq_config(
-        enc_kind="mlp", enc_extra={"activation": enc_activation},
-        causal_kind="mlp", causal_extra={"activation": "sigmoid"},
-        cross_kind="mlp", tie_phi_across_layers=tie_phi_across_layers,
+        enc_kind="mlp", causal_kind="mlp", cross_kind="mlp",
+        tie_phi_across_layers=tie_phi_across_layers,
     )
-    # seeds chosen so the relu pre-activations sit away from the kink (the
-    # finite-difference step would straddle it)
     model = tm.ToySeq2Seq(cfg, rng=make_rng(7))
     rng = make_rng(2)
     src = rng.integers(0, 11, size=(2, 5))
@@ -159,25 +156,40 @@ def test_seq2seq_gradients_match_finite_differences():
 
 def test_seq2seq_untied_gradients_match_finite_differences():
     # per-layer strategy weights at all three sites: enc{i}.attn.sw,
-    # dec{i}.attn.sw and dec{i}.cross.sw each get their own gradient.  The
-    # untied draws differ from the tied ones, and with relu they leave an
-    # encoder slot unwritten (the next test).
-    model = _seq2seq_gradcheck(tie_phi_across_layers=False, enc_activation="exp")
+    # dec{i}.attn.sw and dec{i}.cross.sw each get their own gradient.
+    model = _seq2seq_gradcheck(tie_phi_across_layers=False)
     assert sum(k.endswith(".sw") for k in model.params) == 6
 
 
-def test_relu_sequence_control_gives_an_unwritten_slot_a_zero_column():
-    # the untied relu encoder leaves a slot that no token of this 5-token
-    # source writes: its phi column is zero (its memory row the zero
-    # key/value pair), the forward is finite and the gradients match
-    # finite differences
-    model = _seq2seq_gradcheck(tie_phi_across_layers=False, enc_activation="relu")
-    rng = make_rng(2)
-    src, tgt_in = rng.integers(0, 11, size=(2, 5)), rng.integers(0, 11, size=(2, 4))
-    logits, tape = model.forward(src, tgt_in)
-    assert np.isfinite(logits).all()
-    phis = [lt["attn"].arrays["phi"] for lt in tape.arrays["enc"]["layers"]]
-    assert any((phi.sum(axis=1) == 0.0).any() for phi in phis)
+@pytest.mark.parametrize("seq2seq", [False, True], ids=["lm", "seq2seq"])
+def test_training_errors_name_the_optimizer_step_from_one(seq2seq, monkeypatch):
+    # the curve numbers the first step 1, and so do its errors: a W_phi
+    # large enough that exp overflows fails the first step, a NaN loss the
+    # second
+    if seq2seq:
+        model = tm.ToySeq2Seq(seq2seq_config(), rng=make_rng(7))
+        rng = make_rng(2)
+        batch = (rng.integers(0, 11, size=(2, 5)), rng.integers(0, 11, size=(2, 4)),
+                 rng.integers(0, 11, size=(2, 4)), np.ones((2, 4)))
+        step, loss_name = tm.seq2seq_train_step, "masked_cross_entropy"
+    else:
+        model = tm.ToyLM(lm_config(kind="mlp", n=3))
+        mask = np.ones((2, 6))
+        mask[:, -1] = 0
+        batch = (make_rng(9).integers(0, 11, size=(2, 6)), mask)
+        step, loss_name = tm.train_step, "next_token_loss"
+    opt = tm.adam_init(model)
+    saved = model.params["phi.causal"].copy()
+    model.params["phi.causal"] = saved * 1e4
+    with pytest.raises(NumericError, match=r"^optimizer step 1: dec0 attn \(causal, mlp\): exp") as info:
+        step(model, *batch, opt)
+    assert isinstance(info.value.__cause__, NumericError)
+    assert opt.t == 0
+    model.params["phi.causal"] = saved
+    step(model, *batch, opt)
+    monkeypatch.setattr(tm, loss_name, lambda logits, *_: (float("nan"), 0.0, None))
+    with pytest.raises(tm.TrainingDiverged, match="at optimizer step 2$"):
+        step(model, *batch, opt)
 
 
 def test_a_second_lm_backward_on_one_tape_is_refused():
