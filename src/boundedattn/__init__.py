@@ -11,14 +11,15 @@ from .attention import (
     init_layer_params,
     mha_backward,
     mha_forward,
-    pseudo_query_memory,
     stream_step,
 )
 from .memory import (
     BoundedMemory,
     TransitionOp,
     build_memory,
+    dilated_step,
     full_attention,
+    pseudo_query_memory,
     readout,
     readout_normalized,
     step,
@@ -38,7 +39,6 @@ from .strategies import (
     cluster_assign,
     cluster_phi,
     centroids_via_phi,
-    dilated_step,
     phi_at,
     phi_matrix,
     phi_mlp_prefix,

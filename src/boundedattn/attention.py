@@ -6,8 +6,9 @@ the identity control, whose memory is the keys and values themselves.
 Drop-in replacement for softmax multihead attention at three sites:
 
 * ``encoder_self`` -- queries and keys/values from the same full sequence;
-  the memory (phi^T K, phi^T V) is built once from all tokens, and every
-  query reads it through the softmax kernel pair (``_softmax_forward`` /
+  the memory (phi^T K, phi^T V) is built once from all tokens, by one
+  batched product each with phi^T in one layout (:func:`_sequence_phi`),
+  and every query reads it through the softmax kernel pair (``_softmax_forward`` /
   ``_softmax_backward``) that exact attention uses.
 * ``causal``       -- self-attention over the prefix; the memory is the
   recurrent state ktilde_t = transition . ktilde_{t-1} + phi_t (x) k_t.
@@ -26,8 +27,9 @@ Drop-in replacement for softmax multihead attention at three sites:
 A decode state (:class:`AttnState`) is likewise one memory of
 (B, H, slots, d_head) key/value slots, and :func:`stream_step`, the one
 decode entry, reads it through the same readout.  The accumulating
-strategies add every token into their n slots; softmax and the queue
-strategies keep a ring that writes token t to slot t mod slots.
+strategies add every token into their n slots through one write, whatever
+their control; softmax and the queue strategies keep a ring that writes
+token t to slot t mod slots.
 
 Every projection is stored C-contiguous as (d_out, d_in) and applied as
 ``x @ W.T``, as the strategy weights are; its gradient is
@@ -36,8 +38,8 @@ multiplies a few rows (the batch) by each weight.  OpenBLAS runs that
 product on its small-matrix kernel while rows x d_out <= 1200 and packs the
 whole weight on every call past it; every product here stays under that
 bound at the decode bench's batch of 4 (the toy model's FFN, whose first
-matrix would not, is stored (d_in, d_out) instead).  A constant control's
-decode step adds its one shared control row only to the slots it names.
+matrix would not, is stored (d_in, d_out) instead).  An accumulating
+decode step adds its control rows only to the slots some row names.
 
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
@@ -67,10 +69,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import strategies as st
-from .memory import full_attention
 from .numerics import (
     NumericError,
-    as_matrix,
     check_finite,
     softmax_rows,
     softmax_rows_backward,
@@ -124,7 +124,6 @@ def control_for(n: int, spec: StrategySpec) -> st.Control | None:
 class AttentionConfig:
     heads: int
     d_model: int
-    d_head: int
     site: str
     strategy: StrategySpec
     n: int
@@ -133,8 +132,8 @@ class AttentionConfig:
     def __post_init__(self):
         if self.site not in SITES:
             raise ValueError(f"unknown site {self.site!r}")
-        if self.heads * self.d_head != self.d_model:
-            raise ValueError("heads * d_head must equal d_model")
+        if self.heads < 1 or self.d_model % self.heads:
+            raise ValueError(f"{self.heads} heads do not divide d_model {self.d_model}")
         if self.n < 1:
             raise ValueError("memory needs at least one slot")
         control = self.control
@@ -144,6 +143,10 @@ class AttentionConfig:
     @property
     def control(self) -> st.Control | None:
         return control_for(self.n, self.strategy)
+
+    @property
+    def d_head(self) -> int:
+        return self.d_model // self.heads
 
     @property
     def tau(self) -> float:
@@ -634,45 +637,36 @@ def _softmax_backward(dout, Q, K, V, cache, tau):
     return dQ, dK, dV
 
 
-def _slot_memory(phiT, K, V):
-    """The slot memory (phi^T K, phi^T V) of a whole key/value sequence.
-
-    phiT is (B, n, Nk), shared across heads, or (B, H, n, Nk) for cluster
-    control; K and V are (B, H, Nk, d_head).  Both are batched matmuls.
-    """
-    if phiT.ndim == 3:
-        phiT = phiT[:, None]
-    return np.matmul(phiT, K), np.matmul(phiT, V)
-
-
-def _slot_memory_backward(phiT, K, V, dkt, dvt):
-    """(dK, dV, dphiT) of :func:`_slot_memory` from the memory gradients;
-    dphiT is None for cluster control, whose membership is held fixed."""
-    if phiT.ndim == 4:
-        phi = _swap(phiT)
-        return np.matmul(phi, dkt), np.matmul(phi, dvt), None
-    phi = _swap(phiT)[:, None]
-    dphiT = np.matmul(dkt, _swap(K)).sum(axis=1)
-    dphiT += np.matmul(dvt, _swap(V)).sum(axis=1)
+def _slot_memory_backward(phiT, K, V, dkt, dvt, grad_phi):
+    """(dK, dV, dphiT) of the slot memory (phi^T K, phi^T V) from its
+    gradients.  dphiT, (B, n, Nk) summed over heads, is made only when the
+    control has weights (grad_phi); it is None otherwise."""
+    dphiT = None
+    if grad_phi:
+        dphiT = np.matmul(dkt, _swap(K)).sum(axis=1)
+        dphiT += np.matmul(dvt, _swap(V)).sum(axis=1)
+    phi = _swap(phiT)
     return np.matmul(phi, dkt), np.matmul(phi, dvt), dphiT
 
 
 def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K):
     """Transposed control phi^T over a whole key/value sequence (the
-    encoder_self and cross sites): (B, n, Nk), the layout
-    :func:`_slot_memory` multiplies by, or (B, H, n, Nk) for cluster control.
+    encoder_self and cross sites), in the one layout the slot memory is
+    built with, ``np.matmul(phiT, K)`` and ``np.matmul(phiT, V)``: (B, 1, n,
+    Nk) for the controls shared across heads, (B, H, n, Nk) for cluster
+    control.
 
     The learned control is a softmax over positions per slot, of the scores
-    W_phi x_i: n pseudo-query attentions (:func:`pseudo_query_memory`).
+    W_phi x_i: n pseudo-query attentions (``memory.pseudo_query_memory``).
     """
     control = config.control
     if isinstance(control, st.MlpControl):
-        return softmax_rows(np.matmul(params.strategy_weights, _swap(Xkv)))
+        return softmax_rows(np.matmul(params.strategy_weights, _swap(Xkv)))[:, None]
     if isinstance(control, st.ClusterControl):
         return _swap(control.phi_from_keys(K))
     B, Nk, _ = Xkv.shape
     phiT = _swap(st.phi_matrix(control, Nk, params.strategy_weights))
-    return np.broadcast_to(phiT, (B, config.n, Nk))
+    return np.broadcast_to(phiT, (B, 1, config.n, Nk))
 
 
 # --- public batch forward/backward ----------------------------------------------
@@ -714,8 +708,8 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
         # or under a bounded control the sequence's slots (phi^T K, phi^T V)
         Km, Vm = K, V
         if control is not None:
-            ar["phiT"] = _sequence_phi(config, params, Xkv, K)
-            Km, Vm = _slot_memory(ar["phiT"], K, V)
+            phiT = ar["phiT"] = _sequence_phi(config, params, Xkv, K)
+            Km, Vm = np.matmul(phiT, K), np.matmul(phiT, V)
         out, cache = _softmax_forward(Q, Km, Vm, tau, config.site == "causal")
         ar.update(Q=Q, K=K, V=V, Km=Km, Vm=Vm, family="softmax")
     elif control.stride:
@@ -724,7 +718,7 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     else:
         normalize = isinstance(control, st.MlpControl)
         if normalize:
-            A = ar["alpha"] = st.activation_forward(Xq @ params.strategy_weights.T)
+            A = st.activation_forward(Xq @ params.strategy_weights.T)
         else:
             phi = st.phi_matrix(control, N, params.strategy_weights)
             A = np.broadcast_to(phi, (B, N, config.n))
@@ -765,12 +759,15 @@ def mha_backward(tape: GradTape, d_out):
         K, V = ar.pop("K"), ar.pop("V")
         dQ, dK, dV = _softmax_backward(dout_h, ar.pop("Q"), ar.pop("Km"), ar.pop("Vm"), cache, tau)
         if "phiT" in ar:
-            dK, dV, dA = _slot_memory_backward(ar["phiT"], K, V, dK, dV)
+            dK, dV, dA = _slot_memory_backward(ar["phiT"], K, V, dK, dV, ar["sw"] is not None)
         del K, V
     elif family == "queue":
         dQ, dK, dV = _queue_causal_backward(
             dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, config.control.stride, tau)
     else:
+        if ar["normalize"]:  # the scan's A is alpha, padded to whole chunks
+            B, N = d_out.shape[:2]
+            alpha = cache["A"].reshape(B, -1, config.n)[:, :N]
         dQ, dK, dV, dA = _additive_causal_backward(
             dout_h, cache, ar["normalize"], tau, ar["sw"] is not None)
     del dout_h
@@ -789,14 +786,14 @@ def mha_backward(tape: GradTape, d_out):
 
     if isinstance(config.control, st.MlpControl):
         if config.site == "causal":  # alpha = exp(x W_phi^T)
-            dZ = dA * ar["alpha"]
+            dZ = dA * alpha
             grads["strategy_weights"] = fold_outer(dZ, Xq)
             dXq = dXq + dZ @ ar["sw"]
         else:  # phi^T = softmax over positions of W_phi x^T
-            dZT = softmax_rows_backward(ar["phiT"], dA, out=dA)
+            dZT = softmax_rows_backward(ar["phiT"][:, 0], dA, out=dA)
             grads["strategy_weights"] = np.matmul(dZT, Xkv).sum(axis=0)
             dXkv = dXkv + np.matmul(_swap(dZT), ar["sw"])
-    elif dA is not None and ar["sw"] is not None:  # linformer: phi^T is the weights' first columns
+    elif dA is not None:  # linformer: phi^T is the weights' first columns
         dphiT = dA.sum(axis=0)
         if config.site == "causal":  # the scan's dA is (B, N, n)
             dphiT = dphiT.T
@@ -807,23 +804,6 @@ def mha_backward(tape: GradTape, d_out):
     if config.site == "cross":
         return grads, dXq, dXkv
     return grads, dXq + dXkv, None
-
-
-# --- pseudo-query view of the learned memory ------------------------------------
-
-
-def pseudo_query_memory(w_phi: np.ndarray, X: np.ndarray, K: np.ndarray) -> np.ndarray:
-    """Build the key memory as n independent softmax attentions.
-
-    Row l is exact attention with the (context-independent) l-th weight row
-    as the query, over keys {x_i} and values {k_i}.  Identical to building
-    the memory from sequence-normalized learned control vectors; with one
-    slot this is a single scalar softmax over positions.
-    """
-    w_phi = as_matrix(w_phi)
-    X = as_matrix(X, cols=w_phi.shape[1])
-    K = as_matrix(K, rows=X.shape[0])
-    return np.stack([full_attention(w, X, K) for w in w_phi])
 
 
 # --- streaming state -------------------------------------------------------------
@@ -909,7 +889,8 @@ def init_attn_state(
         K = _split_heads(enc @ params.wk.T, H)
         V = _split_heads(enc @ params.wv.T, H)
         if control is not None:
-            K, V = _slot_memory(_sequence_phi(config, params, enc, K), K, V)
+            phiT = _sequence_phi(config, params, enc, K)
+            K, V = np.matmul(phiT, K), np.matmul(phiT, V)
         return AttnState(config=config, ktilde=K, vtilde=V)
 
     if config.site != "causal":
@@ -923,8 +904,10 @@ def init_attn_state(
 def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnState) -> np.ndarray:
     """Advance one decode step: x is (B, d_model), returns (B, d_model).
 
-    The one decode entry.  A causal step writes the token into the memory;
-    every step then reads the memory through the one softmax readout.
+    The one decode entry.  A causal step writes the token into the memory,
+    into a ring slot or, for every accumulating control, by one add of its
+    control row to the slots the row names; every step then reads the
+    memory through the one softmax readout.
     Per-step cost depends only on the slot count for the bounded strategies;
     the softmax baseline reads its filled cache.
     """
@@ -955,24 +938,22 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
             vt[:, :, t % slots] = v
             read = slice(t + 1) if control is None else slice(t % control.stride, None, control.stride)
             kt, vt = kt[:, :, read], vt[:, :, read]
-        elif learned:
-            alpha = st.activation_forward(x @ params.strategy_weights.T)
-            w = alpha[:, None, :, None]
-            kt += w * k[:, :, None, :]
-            vt += w * v[:, :, None, :]
-            state.norm += alpha[:, None, :]
         else:
-            # one control row for the whole batch: add it to the slots it
-            # names (a one-hot or zero row writes one slot or none); a dense
-            # row (linformer) takes the whole slot axis as a view
-            row = st.phi_at(control, t, params.strategy_weights)
-            slots = np.flatnonzero(row)
+            # the row is (B, n) for the learned control, (1, n) for a constant
+            # one; a one-hot or zero row writes one slot or none, and a dense
+            # row takes the whole slot axis as a view.  A slot starts at +0.0
+            # and never holds -0.0, so a skipped exact-zero add changes no bit.
+            if learned:
+                row = st.activation_forward(x @ params.strategy_weights.T)
+            else:
+                row = st.phi_at(control, t, params.strategy_weights)[None]
+            slots = np.flatnonzero(row.any(axis=0))
             if len(slots) == n:
                 slots = slice(None)
-            w = row[slots]
-            kt[:, :, slots] += w[:, None] * k[:, :, None, :]
-            vt[:, :, slots] += w[:, None] * v[:, :, None, :]
-            state.norm[:, :, slots] += np.abs(w)
+            w = row[:, slots]
+            kt[:, :, slots] += w[:, None, :, None] * k[:, :, None, :]
+            vt[:, :, slots] += w[:, None, :, None] * v[:, :, None, :]
+            state.norm[:, :, slots] += np.abs(w)[:, None]
         state.t = t + 1
         if learned:
             if np.any(state.norm <= 0.0):

@@ -19,6 +19,12 @@ Slots never written to stay zero and still score q . 0 = 0 in the readout
 softmax, i.e. they receive weight as if they held a zero key/value pair.  This
 is the documented semantics, not hidden; equivalence tests use fully-written
 memories.
+
+This module is the slow reference the fast path (``attention.py``) is checked
+against, and nothing on that path imports it.  Besides the memory itself it
+holds two oracles: the learned sequence memory as n pseudo-query attentions
+(:func:`pseudo_query_memory`) and the dilated strategy's two interleaved
+queues (:func:`dilated_step`).
 """
 
 from __future__ import annotations
@@ -97,13 +103,6 @@ class BoundedMemory:
     @property
     def width(self) -> int:
         return self.ktilde.shape[1]
-
-    def copy(self) -> "BoundedMemory":
-        return BoundedMemory(
-            self.ktilde.copy(),
-            self.vtilde.copy(),
-            None if self.norm_sum is None else self.norm_sum.copy(),
-        )
 
 
 def zero_memory(n: int, d: int, with_norm: bool = False) -> BoundedMemory:
@@ -206,3 +205,44 @@ def full_attention(
         raise ValueError("temperature must be positive")
     weights = softmax(K @ q / temperature)
     return check_finite(V.T @ weights, "attention output")
+
+
+# --- reference oracles of the fast path ----------------------------------------
+
+
+def pseudo_query_memory(w_phi: np.ndarray, X: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Build the key memory as n independent softmax attentions.
+
+    Row l is exact attention with the (context-independent) l-th weight row
+    as the query, over keys {x_i} and values {k_i}.  Identical to building
+    the memory from sequence-normalized learned control vectors; with one
+    slot this is a single scalar softmax over positions.
+    """
+    w_phi = as_matrix(w_phi)
+    X = as_matrix(X, cols=w_phi.shape[1])
+    K = as_matrix(K, rows=X.shape[0])
+    return np.stack([full_attention(w, X, K) for w in w_phi])
+
+
+def dilated_step(
+    t: int,
+    k: np.ndarray,
+    v: np.ndarray,
+    even_state: BoundedMemory,
+    odd_state: BoundedMemory,
+) -> tuple[BoundedMemory, BoundedMemory, BoundedMemory]:
+    """Advance the two interleaved FIFO queues by token t (0-based).
+
+    The queue matching t's parity receives the token (shift up, write the last
+    slot); the other queue is untouched.  The query at step t reads the
+    parity-matching queue, returned as the third element.
+    """
+    n = even_state.slots
+    shift = TransitionOp.upper_shift(n)
+    phi = np.zeros(n)
+    phi[-1] = 1.0
+    if t % 2 == 0:
+        even_state = step(even_state, phi, k, v, shift)
+        return even_state, odd_state, even_state
+    odd_state = step(odd_state, phi, k, v, shift)
+    return even_state, odd_state, odd_state

@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-RNG_ALGORITHM = "PCG64"
-
 
 class NumericError(ArithmeticError):
     """A computation produced or consumed a non-finite value."""

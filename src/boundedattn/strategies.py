@@ -36,7 +36,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .memory import BoundedMemory, TransitionOp, step
 from .numerics import as_matrix, as_vector, check_finite, make_rng, softmax_rows
 
 
@@ -335,30 +334,3 @@ def cluster_sse(K: np.ndarray, membership: np.ndarray) -> float:
     centroids = centroids_via_phi(K, membership)
     labels = np.asarray(membership).argmax(axis=1)
     return float(((K - centroids[labels]) ** 2).sum())
-
-
-# --- dilated two-queue recurrence ----------------------------------------------
-
-
-def dilated_step(
-    t: int,
-    k: np.ndarray,
-    v: np.ndarray,
-    even_state: BoundedMemory,
-    odd_state: BoundedMemory,
-) -> tuple[BoundedMemory, BoundedMemory, BoundedMemory]:
-    """Advance the two interleaved FIFO queues by token t (0-based).
-
-    The queue matching t's parity receives the token (shift up, write the last
-    slot); the other queue is untouched.  The query at step t reads the
-    parity-matching queue, returned as the third element.
-    """
-    n = even_state.slots
-    shift = TransitionOp.upper_shift(n)
-    phi = np.zeros(n)
-    phi[-1] = 1.0
-    if t % 2 == 0:
-        even_state = step(even_state, phi, k, v, shift)
-        return even_state, odd_state, even_state
-    odd_state = step(odd_state, phi, k, v, shift)
-    return even_state, odd_state, odd_state

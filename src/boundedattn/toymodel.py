@@ -91,7 +91,6 @@ class ToyModelConfig:
         return AttentionConfig(
             heads=self.heads,
             d_model=self.d_model,
-            d_head=self.d_model // self.heads,
             site=site,
             strategy=spec.strategy,
             n=spec.n,

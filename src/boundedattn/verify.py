@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import strategies as st
-from .attention import AttentionConfig, StrategySpec, init_layer_params, mha_forward, pseudo_query_memory
-from .memory import TransitionOp
+from .attention import AttentionConfig, StrategySpec, init_layer_params, mha_forward
+from .memory import TransitionOp, dilated_step, pseudo_query_memory
 from .memory import build_memory, full_attention, readout, readout_normalized, step, zero_memory
 from .numerics import finite_diff_grad, make_rng
 from .toymodel import SiteSpec, ToyLM, ToyModelConfig, ToySeq2Seq, masked_cross_entropy, next_token_loss
@@ -127,7 +127,7 @@ def suite_batch_recurrent() -> SuiteResult:
     odd = zero_memory(n, d)
     dil_err = 0.0
     for t in range(N):
-        even, odd, active = st.dilated_step(t, K[t], V[t], even, odd)
+        even, odd, active = dilated_step(t, K[t], V[t], even, odd)
         parity = [p for p in range(t % 2, t + 1, 2) if p > t - 2 * n]
         if len(parity) == n:
             got = readout(q, active)
@@ -216,7 +216,7 @@ def suite_causality() -> SuiteResult:
     worst = 0.0
     for kind, extra in CAUSAL_STRATEGIES:
         config = AttentionConfig(
-            heads=2, d_model=d, d_head=d // 2, site="causal",
+            heads=2, d_model=d, site="causal",
             strategy=StrategySpec(kind=kind, **extra), n=4,
         )
         params = init_layer_params(config, make_rng(9))

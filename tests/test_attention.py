@@ -6,7 +6,7 @@ import pytest
 
 from boundedattn import attention as att
 from boundedattn import strategies as st
-from boundedattn.memory import build_memory, full_attention, readout
+from boundedattn.memory import build_memory, full_attention, pseudo_query_memory, readout
 from boundedattn.numerics import NumericError, finite_diff_grad, make_rng, softmax, softmax_rows
 from boundedattn.strategies import phi_mlp_sequence
 
@@ -18,7 +18,7 @@ def cfg(site="causal", kind="mlp", n=3, heads=2, d_model=8, **kw):
             spec_kw[key] = kw.pop(key)
     spec = att.StrategySpec(kind=kind, **spec_kw)
     return att.AttentionConfig(
-        heads=heads, d_model=d_model, d_head=d_model // heads, site=site,
+        heads=heads, d_model=d_model, site=site,
         strategy=spec, n=n, **kw,
     )
 
@@ -250,6 +250,27 @@ def test_constant_control_decode_step_equals_the_dense_update(kind, extra):
             assert np.array_equal(g[:, :, row == 0], b[:, :, row == 0])
 
 
+def test_learned_decode_step_equals_the_dense_update():
+    # the learned row exp(W_phi x), one per batch row, goes through the same
+    # write as a constant control's row: the memory and normalizer must be
+    # the bits of adding the whole (B, n) row
+    B, n = 2, 4
+    c = cfg(site="causal", kind="mlp", n=n)
+    p = make_params(c, seed=8)
+    state = att.init_attn_state(c, p, batch=B, capacity=6)
+    X = make_rng(48).normal(size=(6, B, c.d_model))
+    for x in X:
+        alpha = np.exp(x @ p.strategy_weights.T)
+        k = (x @ p.wk.T).reshape(B, c.heads, c.d_head)
+        v = (x @ p.wv.T).reshape(B, c.heads, c.d_head)
+        want = [state.ktilde + alpha[:, None, :, None] * k[:, :, None, :],
+                state.vtilde + alpha[:, None, :, None] * v[:, :, None, :],
+                state.norm + alpha[:, None, :]]
+        att.stream_step(x, p, c, state)
+        for g, w in zip([state.ktilde, state.vtilde, state.norm], want):
+            assert np.array_equal(g, w)
+
+
 def _decode_step_peak(kind, extra):
     import tracemalloc
 
@@ -405,7 +426,7 @@ def test_pseudo_query_memory_equals_control_vector_build():
     X = rng.normal(size=(N, dm))
     K = rng.normal(size=(N, d))
     w = rng.normal(size=(n, dm))
-    got = att.pseudo_query_memory(w, X, K)
+    got = pseudo_query_memory(w, X, K)
     want = build_memory(phi_mlp_sequence(X, w), K, K).ktilde
     assert np.abs(got - want).max() <= 1e-12
 
@@ -416,7 +437,7 @@ def test_pseudo_query_memory_single_slot_scalar_case():
     X = rng.normal(size=(N, dm))
     K = rng.normal(size=(N, d))
     w = rng.normal(size=(1, dm))
-    got = att.pseudo_query_memory(w, X, K)
+    got = pseudo_query_memory(w, X, K)
     weights = softmax(X @ w[0])
     np.testing.assert_allclose(got[0], weights @ K, atol=1e-12)
 
@@ -427,7 +448,7 @@ def test_pseudo_query_memory_constant_input_gives_mean_key():
     X = np.tile(rng.normal(size=dm), (N, 1))
     K = rng.normal(size=(N, d))
     w = rng.normal(size=(n, dm))
-    got = att.pseudo_query_memory(w, X, K)
+    got = pseudo_query_memory(w, X, K)
     np.testing.assert_allclose(got, np.tile(K.mean(axis=0), (n, 1)), atol=1e-12)
 
 
@@ -525,8 +546,8 @@ def test_sequence_mlp_at_large_pre_activations_is_n_pseudo_query_attentions(site
         K, V = kv[b] @ p.wk.T, kv[b] @ p.wv.T
         for h in range(c.heads):
             heads = slice(h * dh, (h + 1) * dh)
-            want_k = att.pseudo_query_memory(p.strategy_weights, kv[b], K[:, heads])
-            want_v = att.pseudo_query_memory(p.strategy_weights, kv[b], V[:, heads])
+            want_k = pseudo_query_memory(p.strategy_weights, kv[b], K[:, heads])
+            want_v = pseudo_query_memory(p.strategy_weights, kv[b], V[:, heads])
             assert np.abs(ar["Km"][b, h] - want_k).max() <= 1e-12
             assert np.abs(ar["Vm"][b, h] - want_v).max() <= 1e-12
     assert np.abs(ar["phiT"].sum(axis=-1) - 1.0).max() <= 1e-12
@@ -789,6 +810,25 @@ def test_additive_tape_keeps_no_chunk_square_arrays(kind, keys):
     assert cache == {} and tape.arrays == {}
 
 
+def test_causal_mlp_tape_holds_no_array_twice():
+    # the learned control's raw weights alpha are the scan's A: taped beside
+    # it as well, they were counted twice (held twice at a ragged N)
+    c = cfg(site="causal", kind="mlp", n=4, d_model=16)
+    _, tape = att.mha_forward(make_rng(58).normal(size=(2, 2 * CHUNK, 16)), None, make_params(c), c)
+    arrays, todo = {}, [("", tape.arrays)]
+    while todo:
+        prefix, d = todo.pop()
+        for k, v in d.items():
+            if isinstance(v, dict):
+                todo.append((k + ".", v))
+            elif isinstance(v, np.ndarray):
+                arrays.setdefault(id(v), (prefix + k, v))
+    named = list(arrays.values())
+    for i, (ka, a) in enumerate(named):
+        for kb, b in named[i + 1:]:
+            assert not np.shares_memory(a, b), f"{ka} and {kb} share memory"
+
+
 def test_window_layer_training_peak_memory_is_bounded():
     # tracemalloc peak of one window layer's mha_forward + mha_backward at
     # B 1, H 4, N 1024, n 32: 8.62 MB here (a 4.33 MB tape), against 9.41 MB
@@ -808,6 +848,30 @@ def test_window_layer_training_peak_memory_is_bounded():
     assert peak <= 9.0e6, f"window forward + backward peaked at {peak / 1e6:.2f} MB"
 
 
+@pytest.mark.parametrize("kind,extra", [
+    ("compressive", {"ratio": 2}),
+    ("random", {"seed": 1, "max_len": 64}),
+    ("local_to_global", {}),
+])
+def test_weightless_sequence_control_backward_makes_no_phi_gradient(kind, extra):
+    # tracemalloc peak of one encoder_self backward at B 8, N 64, d 64, H 4,
+    # n 32: 1.71 MB here, against 1.84 MB when the backward also made the
+    # phi gradient (a (B, H, n, N) product per memory, summed over heads)
+    # that a control without weights has no use for
+    c = cfg(site="encoder_self", kind=kind, n=32, heads=4, d_model=64, **extra)
+    p = make_params(c)
+    X, dY = make_rng(59).normal(size=(8, 64, 64)), make_rng(60).normal(size=(8, 64, 64))
+    _, tape = att.mha_forward(X, None, p, c)
+    tracemalloc.start()
+    try:
+        grads, _, _ = att.mha_backward(tape, dY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "strategy_weights" not in grads
+    assert peak <= 1.77e6, f"{kind} encoder_self backward peaked at {peak / 1e6:.2f} MB"
+
+
 # --- config validation ----------------------------------------------------------
 
 
@@ -818,7 +882,7 @@ def test_config_rejects_future_peeking_causal_strategies():
         cfg(site="encoder_self", kind="window", n=3)
     with pytest.raises(ValueError):
         att.AttentionConfig(
-            heads=3, d_model=8, d_head=4, site="causal",
+            heads=3, d_model=8, site="causal",
             strategy=att.StrategySpec(kind="softmax"), n=4,
         )
 

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import boundedattn
 from boundedattn.memory import (
     BoundedMemory,
     TransitionOp,
@@ -193,3 +197,18 @@ def test_full_attention_recovered_by_identity_control():
 def test_step_alpha_without_normalizer_rejected():
     with pytest.raises(ValueError):
         step(zero_memory(2, 2), [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], alpha=[1.0, 0.0])
+
+
+def test_fast_path_imports_nothing_from_the_reference_memory():
+    # memory.py is the slow oracle the fast path is checked against; the
+    # modules that train and decode must not lean on it
+    src = Path(boundedattn.__file__).parent
+    for name in ("attention", "strategies", "toymodel", "bench"):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module or ''}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            assert not any(m.split(".")[-1] == "memory" for m in mods), f"{name}.py imports memory"

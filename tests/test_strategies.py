@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boundedattn import strategies as st
-from boundedattn.memory import build_memory, full_attention, readout, zero_memory
+from boundedattn.memory import build_memory, dilated_step, full_attention, readout, zero_memory
 from boundedattn.numerics import make_rng, softmax
 
 
@@ -180,7 +180,7 @@ def test_dilated_queues_hold_alternating_tokens():
     odd = zero_memory(n, d)
     keys = np.arange(18.0).reshape(6, d)  # tokens t = 0..5
     for t in range(6):
-        even, odd, active = st.dilated_step(t, keys[t], keys[t], even, odd)
+        even, odd, active = dilated_step(t, keys[t], keys[t], even, odd)
         if t == 4:
             np.testing.assert_array_equal(active.ktilde, keys[[2, 4]])
         if t == 5:
@@ -193,7 +193,7 @@ def test_dilated_untouched_queue_stays_zero():
     odd = zero_memory(n, d)
     k = np.ones(d)
     for t in (0, 2, 4):  # only one parity ever arrives
-        even, odd, _ = st.dilated_step(t, k, k, even, odd)
+        even, odd, _ = dilated_step(t, k, k, even, odd)
     np.testing.assert_array_equal(odd.ktilde, np.zeros((n, d)))
     assert np.abs(even.ktilde).sum() > 0
 
@@ -207,7 +207,7 @@ def test_dilated_matches_direct_attention_over_parity_set():
     even = zero_memory(n, d)
     odd = zero_memory(n, d)
     for t in range(N):
-        even, odd, active = st.dilated_step(t, K[t], V[t], even, odd)
+        even, odd, active = dilated_step(t, K[t], V[t], even, odd)
         window = [p for p in range(t % 2, t + 1, 2) if p > t - 2 * n]
         if len(window) < n:
             continue  # queue not yet full: zero slots are documented, not compared
