@@ -41,7 +41,6 @@ from .strategies import (
     centroids_via_phi,
     phi_at,
     phi_matrix,
-    phi_mlp_prefix,
     phi_mlp_sequence,
 )
 from .toymodel import (

@@ -656,12 +656,12 @@ def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K):
     Nk) for the controls shared across heads, (B, H, n, Nk) for cluster
     control.
 
-    The learned control is a softmax over positions per slot, of the scores
-    W_phi x_i: n pseudo-query attentions (``memory.pseudo_query_memory``).
+    The learned control is :func:`strategies.phi_mlp_sequence`: n
+    pseudo-query attentions (``memory.pseudo_query_memory``).
     """
     control = config.control
     if isinstance(control, st.MlpControl):
-        return softmax_rows(np.matmul(params.strategy_weights, _swap(Xkv)))[:, None]
+        return st.phi_mlp_sequence(Xkv, params.strategy_weights)[:, None]
     if isinstance(control, st.ClusterControl):
         return _swap(control.phi_from_keys(K))
     B, Nk, _ = Xkv.shape

@@ -36,7 +36,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, check_finite, make_rng, softmax_rows
+from .numerics import as_matrix, check_finite, make_rng, softmax_rows
 
 
 # --- strategies ----------------------------------------------------------------
@@ -190,8 +190,9 @@ class MlpControl(Control):
     The site picks how the raw alphas become control weights: encoder-self
     and cross divide by the sum over the whole sequence, which makes each
     slot's weights a softmax over positions (:func:`phi_mlp_sequence`);
-    causal divides by the running per-slot sum (the prefix), so it never
-    looks at future tokens.
+    causal divides by the running per-slot sum of
+    :func:`activation_forward` (the prefix), so it never looks at future
+    tokens.
     """
 
     def weight_shape(self, d_model):
@@ -199,7 +200,8 @@ class MlpControl(Control):
 
     def phi_rows(self, t0, t1, weights=None):
         raise ValueError(
-            "MLP control needs the token representation x; use phi_mlp_sequence or phi_mlp_prefix"
+            "MLP control needs the token representation x; use phi_mlp_sequence"
+            " or activation_forward"
         )
 
 
@@ -236,30 +238,15 @@ def activation_forward(z: np.ndarray) -> np.ndarray:
 
 
 def phi_mlp_sequence(X: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Sequence-normalized learned control for a whole input, (N, n).
+    """Sequence-normalized learned control phi^T, (..., n, N) for (..., N,
+    d_model) inputs X: the control of the encoder-self and cross sites.
 
-    phi_i = exp(W x_i) / sum_j exp(W x_j) per slot: column l is a softmax
-    over positions with the l-th weight row as a context-independent query,
-    so the control weights written to each slot sum to one over the sequence.
+    Row l is softmax_i(w_l . x_i), a softmax over positions with the l-th
+    weight row as a context-independent query, so the control weights
+    written to each slot sum to one over the sequence.  The causal step is
+    ``activation_forward(x_t @ weights.T)`` with a running per-slot sum.
     """
-    return softmax_rows(as_matrix(weights) @ as_matrix(X).T).T
-
-
-def phi_mlp_prefix(
-    x_t: np.ndarray,
-    weights: np.ndarray,
-    running_alpha_sum: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One causal step of the learned control.
-
-    Returns the raw alpha_t (which doubles as the control vector written into
-    the un-normalized memory) and the advanced running per-slot sum used by
-    the normalized readout.  Never reads anything after position t.
-    """
-    weights = as_matrix(weights)
-    alpha = activation_forward(as_vector(x_t) @ weights.T)
-    running = as_vector(running_alpha_sum, weights.shape[0])
-    return alpha, running + alpha
+    return softmax_rows(np.matmul(weights, np.swapaxes(X, -1, -2)))
 
 
 def cluster_phi(membership: np.ndarray) -> np.ndarray:

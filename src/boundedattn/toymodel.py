@@ -549,9 +549,6 @@ class TaskSampler:
             if len(self.ids) <= spec.max_len + 1:
                 raise ValueError("corpus shorter than one training window")
 
-    def sequence_length(self, payload_len: int) -> int:
-        return 2 * payload_len + 2 if self.spec.kind != "char_lm" else self.spec.max_len + 1
-
     def sample(self, batch: int, rng: np.random.Generator):
         spec = self.spec
         if spec.kind == "char_lm":

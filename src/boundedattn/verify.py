@@ -95,7 +95,7 @@ def suite_batch_recurrent() -> SuiteResult:
         "random": st.phi_matrix(st.RandomSlotControl(n, seed=7, max_len=N), N),
         "compressive": st.phi_matrix(st.CompressiveControl(n, ratio=(N + n - 1) // n), N),
         "cluster": st.cluster_phi(st.cluster_assign(K, n, 6, make_rng(3))),
-        "mlp-sequence": st.phi_mlp_sequence(X, rng.normal(size=(n, d))),
+        "mlp-sequence": st.phi_mlp_sequence(X, rng.normal(size=(n, d))).T,
         # the causal learned control writes its raw alphas into the memory
         "mlp-prefix": st.activation_forward(X @ rng.normal(size=(n, d)).T),
     }
@@ -163,9 +163,8 @@ def suite_prefix_normalization(seeds: int = 20) -> SuiteResult:
         V = rng.normal(size=(N, d))
         q = rng.normal(size=d)
         state = zero_memory(n, d, with_norm=True)
-        total = np.zeros(n)
         for t in range(N):
-            alpha, total = st.phi_mlp_prefix(X[t], W, total)
+            alpha = st.activation_forward(X[t] @ W.T)
             state = step(state, alpha, K[t], V[t], alpha=alpha)
             got = readout_normalized(q, state)
             # oracle: renormalize every control vector over the prefix sum
@@ -190,7 +189,7 @@ def suite_pseudo_query() -> SuiteResult:
         K = rng.normal(size=(N, d))
         W = rng.normal(size=(n, dm))
         got = pseudo_query_memory(W, X, K)
-        want = build_memory(st.phi_mlp_sequence(X, W), K, K).ktilde
+        want = build_memory(st.phi_mlp_sequence(X, W).T, K, K).ktilde
         worst = max(worst, float(np.abs(got - want).max()))
     return _result("pseudo-query", worst, 1e-12, "n in {1, 3, 5}", t0)
 
@@ -315,7 +314,7 @@ def suite_normalization() -> SuiteResult:
     # learned control, sequence mode: per-slot weights sum to one
     X = rng.normal(size=(9, 5))
     W = rng.normal(size=(4, 5))
-    phis = st.phi_mlp_sequence(X, W)
+    phis = st.phi_mlp_sequence(X, W).T
     err = float(np.abs(phis.sum(axis=0) - 1.0).max())
     worst = max(worst, err)
     details.append(f"mlp sums {err:.1e}")

@@ -18,9 +18,14 @@ from boundedattn.attention import StrategySpec
 from boundedattn.numerics import make_rng
 
 
-def _report(name, ok, detail):
+def _line(name, ok, detail):
     line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
     print(line)
+    return line
+
+
+def _report(name, ok, detail):
+    line = _line(name, ok, detail)
     assert ok, line
 
 
@@ -142,22 +147,25 @@ def _train_copy_seq2seq(cross_kind, cross_n, causal_kind, causal_n, seed=0):
 def test_criterion_09_training_parity():
     # protocol: the softmax baseline on the copy task (length 64, vocab 32,
     # 2k steps, fixed seed) sets the fixture F; the learned bounded-memory
-    # runs must land within 1% (n=32) and 3% (causal n=8) absolute of F
+    # runs must land within 1% (n=32) and 3% (causal n=8) absolute of F;
+    # every check runs and prints its line before any of them fails the test
     baseline, fixture = _train_copy_seq2seq("softmax", 1, "softmax", 1)
-    _report("criterion training-baseline", fixture >= 0.99,
-            f"softmax copy held-out accuracy F = {fixture:.4f} (>= 0.99)")
+    lines = [_line("criterion training-baseline", fixture >= 0.99,
+                   f"softmax copy held-out accuracy F = {fixture:.4f} (>= 0.99)")]
 
     # a trained copy model echoes its source through streaming greedy decode
     src = make_rng(123_456).integers(2, 32, size=(4, 64))
     echoed = tm.greedy_decode(baseline, src, 64)
     echo_ok = np.array_equal(echoed, src)
-    _report("criterion training-echo", echo_ok,
-            f"greedy decode echoes the source exactly: {echo_ok}")
+    lines.append(_line("criterion training-echo", echo_ok,
+                       f"greedy decode echoes the source exactly: {echo_ok}"))
 
     _, acc32 = _train_copy_seq2seq("mlp", 32, "mlp", 32)
-    _report("criterion training-parity-n32", acc32 >= fixture - 0.01,
-            f"learned control 32/32 accuracy {acc32:.4f} vs fixture {fixture:.4f} (within 1%)")
+    lines.append(_line("criterion training-parity-n32", acc32 >= fixture - 0.01,
+                       f"learned control 32/32 accuracy {acc32:.4f} vs fixture {fixture:.4f} (within 1%)"))
 
     _, acc8 = _train_copy_seq2seq("mlp", 32, "mlp", 8)
-    _report("criterion training-parity-n8", acc8 >= fixture - 0.03,
-            f"learned control 32/8 accuracy {acc8:.4f} vs fixture {fixture:.4f} (within 3%)")
+    lines.append(_line("criterion training-parity-n8", acc8 >= fixture - 0.03,
+                       f"learned control 32/8 accuracy {acc8:.4f} vs fixture {fixture:.4f} (within 3%)"))
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert not failed, "\n".join(failed)

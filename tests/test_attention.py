@@ -427,7 +427,7 @@ def test_pseudo_query_memory_equals_control_vector_build():
     K = rng.normal(size=(N, d))
     w = rng.normal(size=(n, dm))
     got = pseudo_query_memory(w, X, K)
-    want = build_memory(phi_mlp_sequence(X, w), K, K).ktilde
+    want = build_memory(phi_mlp_sequence(X, w).T, K, K).ktilde
     assert np.abs(got - want).max() <= 1e-12
 
 
@@ -472,7 +472,7 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
 def _memory_level_causal_mlp(X, p, c):
     """The causal learned layer as a per-head recurrence through memory.py."""
     from boundedattn.memory import readout_normalized, step as mem_step, zero_memory
-    from boundedattn.strategies import phi_mlp_prefix
+    from boundedattn.strategies import activation_forward
 
     (N, d), H, dh = X.shape, c.heads, c.d_head
     Q = (X @ p.wq.T).reshape(N, H, dh)
@@ -481,9 +481,8 @@ def _memory_level_causal_mlp(X, p, c):
     out = np.zeros((N, H, dh))
     for h in range(H):
         state = zero_memory(c.n, dh, with_norm=True)
-        total = np.zeros(c.n)
         for t in range(N):
-            alpha, total = phi_mlp_prefix(X[t], p.strategy_weights, total)
+            alpha = activation_forward(X[t] @ p.strategy_weights.T)
             state = mem_step(state, alpha, K[t, h], V[t, h], alpha=alpha)
             out[t, h] = readout_normalized(Q[t, h], state, temperature=c.tau)
     return out.reshape(N, d) @ p.wo.T
@@ -570,6 +569,35 @@ def test_causal_window_matches_direct_window_attention():
             [full_attention(Q[t, h], K[window, h], V[window, h]) for h in range(H)]
         ).reshape(d)
         assert np.abs(y[t] - out_t @ p.wo.T).max() <= 1e-10
+
+
+@pytest.mark.parametrize("site", ["causal", "encoder_self", "cross"])
+def test_never_written_slot_is_masked_only_at_the_causal_site(site):
+    # compressive, ratio 2, over 6 tokens writes slots 0..2, never slot 3.
+    # The causal readout masks that slot, so n = 4 reads as n = 3; the
+    # sequence sites read it as a zero key/value pair, whose score 0 takes
+    # a share of the softmax and whose zero value adds nothing, so each
+    # output row is the n = 3 row scaled by 1 - 1 / (1 + sum_l exp(s_l)).
+    rng = make_rng(41)
+    N, d = 6, 8
+    X = rng.normal(size=(N, d))
+    Xkv = rng.normal(size=(N, d)) if site == "cross" else None
+
+    def run(n):
+        c = cfg(site=site, kind="compressive", n=n, ratio=2, heads=1, d_model=d)
+        return att.mha_forward(X, Xkv, make_params(c, seed=9), c)[0], c
+
+    (y3, c3), (y4, _) = run(3), run(4)
+    if site == "causal":
+        assert np.abs(y4 - y3).max() <= 1e-12
+        return
+    p = make_params(c3, seed=9)
+    src = X if Xkv is None else Xkv
+    phiT = st.phi_matrix(c3.control, N).T
+    s = (X @ p.wq.T) @ (phiT @ (src @ p.wk.T)).T / c3.tau
+    scale = 1.0 - 1.0 / (1.0 + np.exp(s).sum(axis=1, keepdims=True))
+    np.testing.assert_allclose(y4, scale * y3, atol=1e-12)
+    assert np.abs(y4 - y3).max() > 0.05
 
 
 # --- gradients ---------------------------------------------------------------------

@@ -53,6 +53,20 @@ def test_bounded_state_constant_softmax_state_linear():
     assert mlp[8] == spec.layers * spec.heads * (2 * 4 * dh + 4) * 8
 
 
+def test_per_kind_bench_configs_decode_and_count_their_state():
+    # linformer and random take their max_len from the sweep's capacity and
+    # compressive a ratio that fits that capacity into n slots
+    spec = small_spec(strategies=("linformer", "random", "compressive"), batch=1)
+    records = bm.run_decode_bench(spec)
+    assert [(r.strategy, r.N) for r in records] == [
+        (s, N) for s in spec.strategies for N in spec.lengths
+    ]
+    for r in records:
+        assert not r.failed, r.failure
+        config = bm.bench_model_config(spec, r.strategy, r.n, max(spec.lengths))
+        assert r.state_bytes == bm.decoder_state_bytes(config, r.N)
+
+
 CAUSAL_KINDS = ("softmax", "mlp", "linformer", "local_to_global", "random", "compressive",
                 "window", "dilated")
 

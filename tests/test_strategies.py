@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,12 +32,10 @@ def test_cluster_phi_spreads_by_cluster_size():
 def test_mlp_zero_weights_sequence_mode_is_uniform():
     n, d, N = 3, 4, 5
     X = make_rng(0).normal(size=(N, d))
-    phis = st.phi_mlp_sequence(X, np.zeros((n, d)))
-    np.testing.assert_allclose(phis, np.full((N, n), 1.0 / N), atol=1e-15)
+    phiT = st.phi_mlp_sequence(X, np.zeros((n, d)))
+    np.testing.assert_allclose(phiT, np.full((n, N), 1.0 / N), atol=1e-15)
     # the causal route agrees at the last position
-    total = np.zeros(n)
-    for t in range(N):
-        alpha, total = st.phi_mlp_prefix(X[t], np.zeros((n, d)), total)
+    alpha, total = list(_causal_steps(X, np.zeros((n, d))))[-1]
     np.testing.assert_allclose(alpha / total, np.full(n, 1.0 / N), atol=1e-15)
     np.testing.assert_allclose(alpha, np.ones(n))
 
@@ -219,19 +219,29 @@ def test_dilated_matches_direct_attention_over_parity_set():
 # --- learned control ----------------------------------------------------------
 
 
+def _causal_steps(X, w):
+    """The causal learned control step by step, as the decode step computes
+    it: each token's raw alphas exp(w x_t) and their running per-slot sum."""
+    total = np.zeros(w.shape[0])
+    for x in X:
+        alpha = st.activation_forward(x @ w.T)
+        total = total + alpha
+        yield alpha, total
+
+
 def test_phi_mlp_sequence_single_token_is_all_ones():
     w = make_rng(2).normal(size=(3, 4))
     x = make_rng(3).normal(size=(1, 4))
-    np.testing.assert_allclose(st.phi_mlp_sequence(x, w), np.ones((1, 3)), atol=1e-12)
+    np.testing.assert_allclose(st.phi_mlp_sequence(x, w), np.ones((3, 1)), atol=1e-12)
 
 
 def test_phi_mlp_sequence_sums_to_one_per_slot():
     rng = make_rng(10)
     X = rng.normal(size=(9, 5))
     w = rng.normal(size=(4, 5))
-    phis = st.phi_mlp_sequence(X, w)
-    assert np.abs(phis.sum(axis=0) - 1.0).max() <= 1e-12
-    assert (phis > 0.0).all()  # exp keeps everything strictly positive
+    phiT = st.phi_mlp_sequence(X, w)
+    assert np.abs(phiT.sum(axis=-1) - 1.0).max() <= 1e-12
+    assert (phiT > 0.0).all()  # exp keeps everything strictly positive
 
 
 def test_phi_mlp_single_slot_is_positional_softmax():
@@ -239,42 +249,46 @@ def test_phi_mlp_single_slot_is_positional_softmax():
     rng = make_rng(12)
     X = rng.normal(size=(6, 3))
     w = rng.normal(size=(1, 3))
-    phis = st.phi_mlp_sequence(X, w)
-    np.testing.assert_allclose(phis[:, 0], softmax(X @ w[0]), atol=1e-12)
+    phiT = st.phi_mlp_sequence(X, w)
+    np.testing.assert_allclose(phiT[0], softmax(X @ w[0]), atol=1e-12)
 
 
-def test_phi_mlp_prefix_first_step_normalizes_to_one():
+def test_phi_mlp_sequence_batched_equals_per_sequence():
+    # a batch of sequences gives each sequence's own control, (B, n, N)
+    rng = make_rng(13)
+    X = rng.normal(size=(3, 6, 4))
+    w = rng.normal(size=(2, 4))
+    phiT = st.phi_mlp_sequence(X, w)
+    assert phiT.shape == (3, 2, 6)
+    for b in range(3):
+        np.testing.assert_allclose(phiT[b], st.phi_mlp_sequence(X[b], w), atol=1e-15)
+
+
+def test_mlp_prefix_first_step_normalizes_to_one():
     rng = make_rng(14)
     w = rng.normal(size=(3, 4))
-    alpha, total = st.phi_mlp_prefix(rng.normal(size=4), w, np.zeros(3))
+    alpha, total = next(_causal_steps(rng.normal(size=(1, 4)), w))
     np.testing.assert_allclose(alpha / total, np.ones(3), atol=1e-12)
 
 
-def test_phi_mlp_prefix_final_step_matches_sequence_mode():
+def test_mlp_prefix_final_step_matches_sequence_mode():
     rng = make_rng(15)
     N, n, d = 8, 3, 5
     X = rng.normal(size=(N, d))
     w = rng.normal(size=(n, d))
-    total = np.zeros(n)
-    for t in range(N):
-        alpha, total = st.phi_mlp_prefix(X[t], w, total)
-    seq = st.phi_mlp_sequence(X, w)
-    assert np.abs(alpha / total - seq[-1]).max() <= 1e-12
+    alpha, total = list(_causal_steps(X, w))[-1]
+    seqT = st.phi_mlp_sequence(X, w)
+    assert np.abs(alpha / total - seqT[:, -1]).max() <= 1e-12
 
 
-def test_phi_mlp_prefix_ignores_future_tokens():
+def test_mlp_prefix_ignores_future_tokens():
     rng = make_rng(16)
     N, n, d = 6, 2, 4
     X = rng.normal(size=(N, d))
     w = rng.normal(size=(n, d))
 
     def run(X, upto):
-        total = np.zeros(n)
-        outs = []
-        for t in range(upto + 1):
-            alpha, total = st.phi_mlp_prefix(X[t], w, total)
-            outs.append((alpha.copy(), total.copy()))
-        return outs
+        return list(itertools.islice(_causal_steps(X, w), upto + 1))
 
     t = 3
     base = run(X, t)

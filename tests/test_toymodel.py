@@ -373,6 +373,23 @@ def test_decoder_state_size_formula():
     assert state.size_bytes() == floats * 8
 
 
+def test_seq2seq_decoder_state_size_formula():
+    # the causal slots and normalizer plus the cross (H, n, d_head)
+    # key/value memories built from the source, per decoder layer
+    cfg = seq2seq_config(enc_kind="softmax")
+    model = tm.ToySeq2Seq(cfg, rng=make_rng(5))
+    state = model.init_state(make_rng(16).integers(0, 11, size=(2, 6)))
+    dh = cfg.d_model // cfg.heads
+    n, n_cross = cfg.causal.n, cfg.cross.n
+    causal = 2 * n * dh + n
+    cross = 2 * n_cross * dh
+    want = cfg.layers * cfg.heads * (causal + cross) * 8
+    assert state.size_bytes() == want
+    for _ in range(6):
+        model.step(np.array([1, 2]), state)
+    assert state.size_bytes() == want
+
+
 def test_softmax_state_grows_with_decoded_length():
     cfg = lm_config(kind="softmax", n=1, d_model=16, heads=2, layers=2)
     model = tm.ToyLM(cfg)
