@@ -359,13 +359,24 @@ def _carried(A, X, B):
     return _chunk_cumsum(np.matmul(_swap(_by_chunk(A[:, None], B)[:, :-1]), _by_chunk(X, B)[:, :-1]))
 
 
-def _slot_scores(Q, K, A, P, B, out=None, scratch=None):
+def _add_later(s, X, mem, B):
+    """s[chunk j] += X[chunk j] mem[j - 1] for every chunk j >= 1: what the
+    memory carried into each later chunk adds.  One chunk at a time, into a
+    one-chunk buffer, so no product the size of ``s`` is ever live beside it;
+    each chunk's product is the same GEMM the batched call would run."""
+    later, X = _by_chunk(s, B)[:, 1:], _by_chunk(X, B)[:, 1:]
+    buf = None
+    for j in range(later.shape[1]):
+        buf = np.matmul(X[:, j], mem[:, j], out=buf)
+        later[:, j] += buf
+
+
+def _slot_scores(Q, K, A, P, B, out=None):
     """Raw slot scores (B*nc, H, c, n), written into ``out`` when given, and
     the carried key memory (None with one chunk).
 
     Inside a chunk the score of step t is sum_{i<=t} P[t, i] A[i], with P the
-    masked chunk gram Q K^T; each later chunk adds q_t . kmem, computed into
-    ``scratch`` (shaped like the scores) when given.
+    masked chunk gram Q K^T; each later chunk adds q_t . kmem.
     """
     Bnc, H, c, _ = Q.shape
     n = A.shape[-1]
@@ -374,9 +385,7 @@ def _slot_scores(Q, K, A, P, B, out=None, scratch=None):
     kmem = None
     if Bnc > B:
         kmem = _carried(A, K, B)
-        later = _by_chunk(s, B)[:, 1:]
-        later += np.matmul(_by_chunk(Q, B)[:, 1:], _swap(kmem),
-                           out=None if scratch is None else _by_chunk(scratch, B)[:, 1:])
+        _add_later(s, Q, _swap(kmem), B)
     return s, kmem
 
 
@@ -433,10 +442,12 @@ def _additive_causal_forward(Q, K, V, A, normalize, tau):
 def _additive_causal_backward(dout, cache, normalize, tau, grad_A):
     # grad_A: the control has weights, so the gradient reaches A (dA is None
     # otherwise).  The cache is taken apart, and each array here is dropped
-    # after its last use.  g, W2, vmem, kmem, P and (learned control) the
-    # scores s are rebuilt once each, just before their first use.  One
-    # (c x c) buffer holds W2, dW2, P and dP in turn; g's buffer becomes the
-    # scratch of the normalizer terms and a's buffer the rebuilt s.
+    # after its last use.  W2, vmem, kmem, P and (learned control) the scores
+    # s are rebuilt once each, and g = a / S twice, each just before its use,
+    # so that at most three score-sized arrays are live at once (a chunk
+    # square is one at c = n): a, W2 and g; then a, dW2 and dg; then a, dg
+    # and the rebuilt g as the normalizer terms' scratch; then dg, P and a's
+    # buffer as the rebuilt s.  W2's buffer becomes dW2, P's becomes dP.
     a, A, mask, S = cache.pop("a"), cache.pop("A"), cache.pop("mask"), cache.pop("S", None)
     Q, K, V = cache.pop("Q"), cache.pop("K"), cache.pop("V")
     B, H, N, _ = dout.shape
@@ -444,46 +455,50 @@ def _additive_causal_backward(dout, cache, normalize, tau, grad_A):
     nc = A.shape[0] // B
     dout = _heads_to_chunks(dout, c, nc)
     g = a / S if normalize else a
-    square = _masked_slot_gram(g, A, mask)  # W2
-    dV = np.matmul(_swap(square), dout)
-    dW2 = _masked_gram(dout, V, mask, out=square)
-    dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
+    W2 = _masked_slot_gram(g, A, mask)
+    dV = np.matmul(_swap(W2), dout)
+    dW2 = _masked_gram(dout, V, mask, out=W2)
+    del W2
     if grad_A:
         dA = _head_sum(dW2, g)
+    if nc > 1:
+        dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
+    del g
+    dg = np.matmul(dW2.reshape(B * nc, H * c, c), A).reshape(B * nc, H, c, n)
     del dW2
     if nc > 1:
-        later = _by_chunk(dg, B)[:, 1:]
-        later += np.matmul(_by_chunk(dout, B)[:, 1:], _swap(_carried(A, V, B)))
-        dvmem = np.matmul(_swap(_by_chunk(g, B)[:, 1:]), _by_chunk(dout, B)[:, 1:])
+        _add_later(dg, dout, _swap(_carried(A, V, B)), B)
     del dout
     # dg's buffer becomes da, then ds, then dC
+    t = None
     if normalize:
-        t = np.multiply(dg, g, out=g)  # scratch for dg * g, then ds * s
+        g = a / S
+        t = np.multiply(dg, g, out=g)  # scratch for dg * g, then a * da
         dS = -np.sum(t, axis=1, keepdims=True)
         dS /= S  # g = a / S
         dg /= S
-    del g
-    softmax_rows_backward(a, dg, out=dg, scratch=t if normalize else None)
+        del g
+    softmax_rows_backward(a, dg, out=dg, scratch=t)
+    del t
     kmem = P = None
     if normalize:
-        P = _masked_gram(Q, K, mask, out=square)
-        s, kmem = _slot_scores(Q, K, A, P, B, out=a, scratch=t)
+        P = _masked_gram(Q, K, mask)
+        s, kmem = _slot_scores(Q, K, A, P, B, out=a)
         del a
         s /= S * tau
-        dS -= np.sum(np.multiply(dg, s, out=t), axis=1, keepdims=True) / S  # s = C / (S tau)
+        dS -= np.sum(np.multiply(dg, s, out=s), axis=1, keepdims=True) / S  # s = C / (S tau)
+        del s
         dg /= S * tau
-        del s, t
     else:
         del a
         dg /= tau
+        if grad_A:
+            P = _masked_gram(Q, K, mask)
     dC = dg
     if grad_A:
-        if P is None:
-            P = _masked_gram(Q, K, mask, out=square)
         dA += _head_sum(P, dC)
+    dP = _masked_slot_gram(dC, A, mask, out=P)
     del P
-    dP = _masked_slot_gram(dC, A, mask, out=square)
-    del square
     dQ = np.matmul(dP, K)
     dK = np.matmul(_swap(dP), Q)
     del dP
@@ -502,10 +517,12 @@ def _additive_causal_backward(dout, cache, normalize, tau, grad_A):
         earlier += np.matmul(A_w, dkw)
         earlier = _by_chunk(dV, B)[:, :-1]
         earlier += np.matmul(A_w, dvw)
-        if grad_A:
+        if grad_A:  # a chunk at a time: each product is one chunk's scores
             earlier = _by_chunk(dA, B)[:, :-1]
-            earlier += (np.matmul(_by_chunk(K, B)[:, :-1], _swap(dkw))
-                        + np.matmul(_by_chunk(V, B)[:, :-1], _swap(dvw))).sum(axis=2)
+            K_w, V_w = _by_chunk(K, B)[:, :-1], _by_chunk(V, B)[:, :-1]
+            for j in range(nc - 1):
+                earlier[:, j] += (np.matmul(K_w[:, j], _swap(dkw[:, j]))
+                                  + np.matmul(V_w[:, j], _swap(dvw[:, j]))).sum(axis=1)
     del dC, dg, Q, K, V
     dQ, dK, dV = (_chunks_to_heads(x, B, N) for x in (dQ, dK, dV))
     if not grad_A:
@@ -672,14 +689,10 @@ def _sequence_phi(config: AttentionConfig, params: LayerParams, Xkv, K):
 # --- public batch forward/backward ----------------------------------------------
 
 
-def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
-    """Multihead attention forward over whole sequences; returns (Y, tape).
-
-    ``Xq``/``Xkv`` are (N, d_model) or (B, N, d_model); ``Xkv`` may be None at
-    the self sites.  Decode goes through :func:`stream_step`.
-    """
+def _inputs(Xq, Xkv, site):
+    """(Xq, Xkv, squeeze): both batched, Xkv = Xq at the self sites."""
     Xq, squeeze = _batched(Xq)
-    if config.site == "cross":
+    if site == "cross":
         if Xkv is None:
             raise ValueError("cross attention needs the encoder output as Xkv")
         Xkv, _ = _batched(Xkv)
@@ -687,6 +700,18 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
         if Xkv is not None and Xkv is not Xq:
             raise ValueError("self sites take their keys/values from Xq; pass Xkv=None")
         Xkv = Xq
+    return Xq, Xkv, squeeze
+
+
+def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
+    """Multihead attention forward over whole sequences; returns (Y, tape).
+
+    ``Xq``/``Xkv`` are (N, d_model) or (B, N, d_model); ``Xkv`` may be None at
+    the self sites.  The tape holds what the forward computed, never its
+    inputs: :func:`mha_backward` takes them again.  Decode goes through
+    :func:`stream_step`.
+    """
+    Xq, Xkv, squeeze = _inputs(Xq, Xkv, config.site)
     H, tau = config.heads, config.tau
     B, N, _ = Xq.shape
 
@@ -698,7 +723,6 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     tape = GradTape(config=config)
     ar = tape.arrays
     ar.update(
-        Xq=Xq, Xkv=Xkv,
         wq=params.wq, wk=params.wk, wv=params.wv, wo=params.wo,
         sw=params.strategy_weights,
     )
@@ -735,14 +759,16 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     return (Y[0] if squeeze else Y), tape
 
 
-def mha_backward(tape: GradTape, d_out):
-    """Gradients of one recorded forward.
+def mha_backward(tape: GradTape, d_out, Xq, Xkv=None):
+    """Gradients of one recorded forward, given the inputs it read.
 
-    Returns (grads, dXq, dXkv): grads has keys wq/wk/wv/wo plus
-    strategy_weights for the learned strategies.  dXkv is None at the self
-    sites (already folded into dXq).
+    ``Xq`` and ``Xkv`` are the forward's own arguments (``Xkv`` is needed at
+    the cross site only).  Returns (grads, dXq, dXkv): grads has keys
+    wq/wk/wv/wo plus strategy_weights for the learned strategies.  dXkv is
+    None at the self sites (already folded into dXq).
     """
     config = tape.config
+    Xq, Xkv, _ = _inputs(Xq, Xkv, config.site)
     ar = tape.take()  # popped below, so each array goes after its last use
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.ndim == 2:
@@ -774,7 +800,6 @@ def mha_backward(tape: GradTape, d_out):
 
     dQf, dKf, dVf = _merge_heads(dQ), _merge_heads(dK), _merge_heads(dV)
     del dQ, dK, dV
-    Xq, Xkv = ar.pop("Xq"), ar.pop("Xkv")
     grads = {
         "wq": fold_outer(dQf, Xq),
         "wk": fold_outer(dKf, Xkv),

@@ -14,10 +14,12 @@ encoder and the seq2seq decoder are three instances of it.  The models add
 only the embeddings and the logits head.  Parameters live in one flat
 name -> array dict (every array 2-D), which keeps the optimizer, the
 gradient checks and the checkpoint container uniform.  The backward pass is
-the same manual chain style as the attention module.  The tapes hold only
-what the backward reads: layer norm keeps (xhat, 1/std, g), the FFN keeps
-(h, r), its input and its ReLU output, whose sign is the ReLU's mask.  The
-backward pops each layer's tapes as it reads them.
+the same manual chain style as the attention module.  A layer tapes what
+it computed, never its input: layer norm keeps (xhat, 1/std, g), the FFN
+its ReLU output, whose sign is the ReLU's mask.  Every sub-layer's input is
+a layer norm's output, which the backward rebuilds from that norm's tape
+(``layer_norm_output``, bit for bit) and hands to the sub-layer's backward.
+The backward pops each layer's tapes as it reads them.
 
 Training tasks are synthetic (copy, reverse) or a character LM over a plain
 UTF-8 corpus.  Sequences reserve token 0 as BOS and token 1 as the separator;
@@ -133,13 +135,20 @@ def _feature_mean(x):
 # bit for bit the same (tests/test_toymodel.py keeps the expression forms).
 
 
+def layer_norm_output(xhat, g, b):
+    """g * xhat + b: the layer norm's last two operations, which the forward
+    runs and the backward reruns on the taped xhat, so a rebuilt output
+    equals the forward's bit for bit."""
+    y = g * xhat
+    y += b
+    return y
+
+
 def layer_norm_forward(x, g, b):
     xc = x - _feature_mean(x)
     inv = 1.0 / np.sqrt(_feature_mean(xc * xc) + LN_EPS)
     xc *= inv  # xhat
-    y = g * xc
-    y += b
-    return y, (xc, inv, g)
+    return layer_norm_output(xc, g, b), (xc, inv, g)
 
 
 def layer_norm_backward(dy, cache):
@@ -159,13 +168,14 @@ def layer_norm_backward(dy, cache):
 
 
 def ffn_forward(h, w1, w2):
+    """(out, r): the ReLU output r is the whole tape; the backward takes the
+    input h again."""
     r = h @ w1
     np.maximum(r, 0.0, out=r)
-    return r @ w2.T, (h, r)
+    return r @ w2.T, r
 
 
-def ffn_backward(df, cache, w1, w2):
-    h, r = cache
+def ffn_backward(df, h, r, w1, w2):
     dw2 = fold_outer(df, r)
     relu = r > 0.0
     dz = np.matmul(df, w2, out=r)  # the taped ReLU output is not read again
@@ -275,6 +285,16 @@ class _Stack:
     def _ln(self, params, x, name):
         return layer_norm_forward(x, params[f"{name}.g"], params[f"{name}.b"])
 
+    @staticmethod
+    def _normed(params, cache, name):
+        """The output of layer norm ``name``, rebuilt from its tape ``cache``."""
+        xhat, _, g = cache
+        return layer_norm_output(xhat, g, params[f"{name}.b"])
+
+    def output(self, params, tape):
+        """The stack's final-normed output, rebuilt from its forward ``tape``."""
+        return self._normed(params, tape["final_ln"], self.final_ln)
+
     def forward(self, params, x, enc_out=None):
         """(B, N, d) -> final-normed (B, N, d), plus the tape for backward."""
         layers = []
@@ -290,20 +310,24 @@ class _Stack:
                 except NumericError as exc:
                     raise self._named(exc, i, name, att) from exc
                 x = x + a
+                del h, a  # no tape holds them: only the residual goes on
             h2, lt["ln2"] = self._ln(params, x, f"{base}.ln2")
             f, lt["ffn"] = ffn_forward(h2, params[f"{base}.ffn.w1"], params[f"{base}.ffn.w2"])
             x = x + f
+            del h2, f
             layers.append(lt)
         out, final = self._ln(params, x, self.final_ln)
         return out, {"layers": layers, "final_ln": final}
 
-    def backward(self, params, tape, d_out, grads):
+    def backward(self, params, tape, d_out, grads, enc_out=None):
         """Adds into ``grads``; returns (dx, d_enc summed over cross sites).
 
-        A parameter's first gradient becomes its entry in ``grads`` and later
+        ``enc_out`` is the encoder output the cross sites read.  A
+        parameter's first gradient becomes its entry in ``grads`` and later
         ones add into it (``_add_grad``), so no zero-filled gradient is made.
         Pops each tape as it reads it: a layer's FFN and layer-norm tapes are
-        gone before its attention backward runs.  ``d_out`` and each
+        gone before its attention backward runs.  Each sub-layer's normed
+        input is rebuilt just before its backward; it, ``d_out`` and each
         sub-layer's input gradient are dropped after their last use.
         """
         dx = self._ln_backward(grads, d_out, tape.pop("final_ln"), self.final_ln)
@@ -314,16 +338,22 @@ class _Stack:
             base = f"{self.prefix}{i}"
             lt = layers.pop()
             w1, w2 = f"{base}.ffn.w1", f"{base}.ffn.w2"
-            dh2, dw1, dw2 = ffn_backward(dx, lt.pop("ffn"), params[w1], params[w2])
+            h2 = self._normed(params, lt["ln2"], f"{base}.ln2")
+            dh2, dw1, dw2 = ffn_backward(dx, h2, lt.pop("ffn"), params[w1], params[w2])
+            del h2
             _add_grad(grads, w1, dw1)
             _add_grad(grads, w2, dw2)
             dx = dx + self._ln_backward(grads, dh2, lt.pop("ln2"), f"{base}.ln2")
             del dh2
             for name, att in reversed(self.sites):
+                ln = _SITE_LN[name]
+                h = self._normed(params, lt[ln], f"{base}.{ln}")
+                kv = enc_out if name == "cross" else None
                 try:
-                    agrads, dh, denc_i = mha_backward(lt.pop(name), dx)
+                    agrads, dh, denc_i = mha_backward(lt.pop(name), dx, h, kv)
                 except NumericError as exc:
                     raise self._named(exc, i, name, att) from exc
+                del h
                 for w in _PROJ:
                     _add_grad(grads, f"{base}.{name}.{w}", agrads[w])
                 key = self.sw_keys[name][i]
@@ -331,7 +361,6 @@ class _Stack:
                     _add_grad(grads, key, agrads["strategy_weights"])
                 if denc_i is not None:
                     d_enc = denc_i if d_enc is None else d_enc + denc_i
-                ln = _SITE_LN[name]
                 dx = dx + self._ln_backward(grads, dh, lt.pop(ln), f"{base}.{ln}")
                 del dh
         return dx, d_enc
@@ -403,8 +432,9 @@ class _Model:
             a.size for k, a in self.params.items() if k.startswith("phi.") or k.endswith(".sw")
         )
 
-    def _embed(self, tokens):
-        """(B, N) or (N,) ids -> (ids as (B, N), token + position embeddings)."""
+    def _tokens(self, tokens):
+        """(B, N) or (N,) ids -> ids as (B, N), checked against the vocabulary
+        and the positions."""
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
@@ -414,7 +444,12 @@ class _Model:
             raise ValueError(f"sequence length {N} exceeds max positions {cfg.max_positions}")
         if tokens.min() < 0 or tokens.max() >= cfg.vocab:
             raise ValueError("token id outside vocabulary")
-        return tokens, self.params["tok_emb"][tokens] + self.params["pos_emb"][:N]
+        return tokens
+
+    def _embed(self, tokens):
+        """Token + position embeddings of checked (B, N) ids, handed straight
+        to a stack, which drops them at its first residual."""
+        return self.params["tok_emb"][tokens] + self.params["pos_emb"][: tokens.shape[1]]
 
     def _embed_backward(self, grads, *pairs):
         """Set the embedding gradients of (tokens, dx) pairs, added in pair order.
@@ -463,17 +498,19 @@ class ToyLM(_Model):
 
     def forward(self, tokens):
         """Batch logits for a (B, N) or (N,) token array, plus the gradient tape."""
-        tokens, x = self._embed(tokens)
-        xf, tape = self.stack.forward(self.params, x)
-        tape.update(tokens=tokens, xf=xf)
+        tokens = self._tokens(tokens)
+        xf, tape = self.stack.forward(self.params, self._embed(tokens))
+        tape["tokens"] = tokens
         return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
 
     def backward(self, tape: GradTape, dlogits) -> dict[str, np.ndarray]:
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
         tape, grads = tape.take(), {}
-        # d(xf) is handed over, not held here: the stack drops it after its final norm
+        # xf, rebuilt from the final norm's tape, and d(xf) are handed over,
+        # not held here: the stack drops d(xf) after its final norm
         dx, _ = self.stack.backward(
-            self.params, tape, self._head_backward(grads, tape.pop("xf"), dlogits), grads)
+            self.params, tape,
+            self._head_backward(grads, self.stack.output(self.params, tape), dlogits), grads)
         self._embed_backward(grads, (tape["tokens"], dx))
         return {k: grads[k] for k in self.params}
 
@@ -842,24 +879,28 @@ class ToySeq2Seq(_Model):
         super().__init__(config, rng, [self.enc_stack, self.dec_stack])
 
     def encode(self, src):
-        src, x = self._embed(src)
-        out, tape = self.enc_stack.forward(self.params, x)
+        src = self._tokens(src)
+        out, tape = self.enc_stack.forward(self.params, self._embed(src))
         tape["tokens"] = src
         return out, tape
 
     def forward(self, src, tgt):
         enc_out, enc_tape = self.encode(src)
-        tgt, x = self._embed(tgt)
-        xf, tape = self.dec_stack.forward(self.params, x, enc_out)
-        tape.update(enc=enc_tape, tokens=tgt, xf=xf)
+        tgt = self._tokens(tgt)
+        xf, tape = self.dec_stack.forward(self.params, self._embed(tgt), enc_out)
+        tape.update(enc=enc_tape, tokens=tgt)
         return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
 
     def backward(self, tape: GradTape, dlogits):
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
         tape, grads = tape.take(), {}
-        dx, d_enc = self.dec_stack.backward(
-            self.params, tape, self._head_backward(grads, tape.pop("xf"), dlogits), grads)
         enc_tape = tape.pop("enc")
+        # the head's input and the encoder output the cross sites read are
+        # rebuilt from the final norms' tapes, and live only as arguments
+        dx, d_enc = self.dec_stack.backward(
+            self.params, tape,
+            self._head_backward(grads, self.dec_stack.output(self.params, tape), dlogits),
+            grads, self.enc_stack.output(self.params, enc_tape))
         dx_enc, _ = self.enc_stack.backward(self.params, enc_tape, d_enc, grads)
         self._embed_backward(grads, (tape["tokens"], dx), (enc_tape["tokens"], dx_enc))
         return {k: grads[k] for k in self.params}

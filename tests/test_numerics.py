@@ -27,6 +27,31 @@ def test_softmax_empty_rejected():
         numerics.softmax(np.zeros(0))
 
 
+@pytest.mark.parametrize("length", [1, 7, 32, 63, 64])
+def test_softmax_rows_max_and_output_equal_the_plain_max_form(length):
+    # softmax_rows takes the row max with initial=-inf (numpy's fast path
+    # for even rows); it must equal m.max(axis=-1), so every bit of the
+    # output is that of the plain form, causal -inf entries included
+    rng = numerics.make_rng(length)
+    m = rng.normal(0.0, 10.0, (4, 3, length))
+    m[..., 1:][rng.random((4, 3, length - 1)) < 0.3] = -np.inf
+    m[0, 0, 1:] = -np.inf  # a row with one finite entry
+    want_max = m.max(axis=-1, keepdims=True)
+    assert np.array_equal(np.max(m, axis=-1, keepdims=True, initial=-np.inf), want_max)
+    want = np.exp(m - want_max)
+    want /= want.sum(axis=-1, keepdims=True)
+    assert np.array_equal(numerics.softmax_rows(m), want)
+    masked_rows = np.full((2, length), -np.inf)
+    assert np.array_equal(
+        np.max(masked_rows, axis=-1, initial=-np.inf), masked_rows.max(axis=-1))
+
+
+def test_softmax_rows_rejects_an_empty_row_axis():
+    with pytest.raises(ValueError):
+        numerics.softmax_rows(np.zeros((3, 0)))
+    assert numerics.softmax_rows(np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_softmax_shift_invariance():
     rng = numerics.make_rng(7)
     for _ in range(20):

@@ -668,14 +668,15 @@ def test_layer_norm_and_ffn_equal_their_expression_forms(shape):
     y, cache = tm.layer_norm_forward(x, g, b)
     y_ref, cache_ref = _ref_layer_norm_forward(x, g, b)
     _assert_all_equal((y, *cache), (y_ref, *cache_ref))
+    assert np.array_equal(tm.layer_norm_output(cache[0], cache[2], b), y)  # the backward's rebuild
     _assert_all_equal(tm.layer_norm_backward(dy, cache), _ref_layer_norm_backward(dy, cache_ref))
 
     out, fcache = tm.ffn_forward(y, w1, w2)
     out_ref, (h, z, r) = _ref_ffn_forward(y, w1, w2)
     assert np.array_equal(out, out_ref)
-    _assert_all_equal(fcache, (h, r))  # the tape drops the pre-activation
+    assert np.array_equal(fcache, r)  # the tape drops the pre-activation and the input
     assert (z <= 0.0).any()  # the relu mask is exercised
-    _assert_all_equal(tm.ffn_backward(dy, fcache, w1, w2), _ref_ffn_backward(dy, (h, z, r), w1, w2))
+    _assert_all_equal(tm.ffn_backward(dy, y, fcache, w1, w2), _ref_ffn_backward(dy, (h, z, r), w1, w2))
 
 
 def test_adam_update_equals_its_expression_form_with_clipping():
@@ -745,18 +746,12 @@ def test_embedding_scatter_equals_add_at():
         assert np.array_equal(grads["pos_emb"], pos)
 
 
-def test_training_step_peak_memory_is_bounded():
-    # tracemalloc peak of one train step of an mlp ToyLM at N = 256: the
-    # tape holds only what the backward cannot cheaply rebuild, the backward
-    # drops each layer's tape as it goes, reuses its score-sized buffers and
-    # makes each gradient where it lands.  Read 5.26 MB here; 7.37 MB when
-    # the tape also kept the scores and the carried memories and the
-    # backward began from a zero-filled gradient dict, and 11.62 MB when the
-    # tape kept the chunk-square arrays and every tape lived to the end.
-    payload = 127
+def _train_step_peak(kind, payload, d_model, heads, n):
+    """tracemalloc peak of one warm train step of a 2-layer ToyLM on one
+    copy sequence of N = 2 payload + 2 tokens."""
     cfg = tm.ToyModelConfig(
-        layers=2, d_model=64, heads=4, ffn_mult=4, vocab=32, max_positions=2 * payload + 2,
-        causal=tm.SiteSpec(StrategySpec(kind="mlp"), 32), batch_size=1,
+        layers=2, d_model=d_model, heads=heads, ffn_mult=4, vocab=32, max_positions=2 * payload + 2,
+        causal=tm.SiteSpec(StrategySpec(kind=kind), n), batch_size=1,
     )
     model = tm.ToyLM(cfg, rng=make_rng(1))
     sampler = tm.TaskSampler(tm.TaskSpec(kind="copy", min_len=payload, max_len=payload, vocab=32))
@@ -766,10 +761,66 @@ def test_training_step_peak_memory_is_bounded():
     tracemalloc.start()
     try:
         tm.train_step(model, tokens, mask, opt)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_training_step_peak_memory_is_bounded():
+    # tracemalloc peak of one train step of an mlp ToyLM at N = 256: the
+    # tape holds only what the backward cannot cheaply rebuild (no layer's
+    # input: the normed inputs are rebuilt from the norms' tapes), the
+    # backward drops each layer's tape as it goes, reuses its score-sized
+    # buffers and makes each gradient where it lands.  Read 4.58 MB here;
+    # 5.13 MB when every layer-norm output was taped beside its xhat and the
+    # scan backward held four score-sized arrays, 7.37 MB when the tape also
+    # kept the scores and the carried memories and the backward began from
+    # a zero-filled gradient dict, and 11.62 MB when the tape kept the
+    # chunk-square arrays and every tape lived to the end.
+    peak = _train_step_peak("mlp", 127, d_model=64, heads=4, n=32)
+    assert peak <= 5.07e6, f"one train step peaked at {peak / 1e6:.2f} MB"
+
+
+def test_seq2seq_training_step_peak_memory_is_bounded():
+    # tracemalloc peak of one warm seq2seq copy step at the benchmark's
+    # train_copy shape (d 64, H 4, n 32 mlp at causal and cross, softmax
+    # encoder, batch 8, N 64): no tape holds a layer's input, and the
+    # forward drops each normed input, sub-layer output and the embedding
+    # once used.  Read 20.55 MB here, against 23.49 MB when every layer-norm
+    # output was taped and the forward's locals held the last ones
+    cfg = tm.ToyModelConfig(
+        layers=2, d_model=64, heads=4, ffn_mult=4, vocab=32, max_positions=130,
+        causal=tm.SiteSpec(StrategySpec(kind="mlp"), 32),
+        encoder=tm.SiteSpec(StrategySpec(kind="softmax"), 1),
+        cross=tm.SiteSpec(StrategySpec(kind="mlp"), 32), batch_size=8,
+    )
+    model = tm.ToySeq2Seq(cfg, rng=make_rng(3))
+    opt = tm.adam_init(model)
+    sampler = tm.TaskSampler(tm.TaskSpec(kind="copy", min_len=64, max_len=64, vocab=32))
+    rng = make_rng(4)
+    tm.seq2seq_train_step(model, *sampler.sample_pair(8, rng), opt)
+    batch = sampler.sample_pair(8, rng)
+    tracemalloc.start()
+    try:
+        tm.seq2seq_train_step(model, *batch, opt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.75e6, f"one train step peaked at {peak / 1e6:.2f} MB"
+    assert peak <= 21.5e6, f"one seq2seq train step peaked at {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("kind", ["mlp", "window", "softmax"])
+def test_training_memory_is_linear_in_length(kind):
+    # 4x the tokens (N = 256 -> 1024): a bounded kind's step peak grows at
+    # most 4.5x (read 3.84x for mlp and 3.68x for window here), while causal
+    # softmax, the contrast, holds (N x N) scores and grows more than 8x
+    # (read 13.0x)
+    short, long = (_train_step_peak(kind, p, d_model=32, heads=2, n=8) for p in (127, 511))
+    growth = long / short
+    if kind == "softmax":
+        assert growth > 8.0, f"softmax step peak grew {growth:.2f}x"
+    else:
+        assert growth <= 4.5, f"{kind} step peak grew {growth:.2f}x for 4x the tokens"
 
 
 def test_training_keeps_its_heap_mapped():
