@@ -31,14 +31,14 @@ strategies add every token into their n slots through one write, whatever
 their control; softmax and the queue strategies keep a ring that writes
 token t to slot t mod slots.
 
-Every projection is stored C-contiguous as (d_out, d_in) and applied as
-``x @ W.T``, as the strategy weights are; its gradient is
-``fold_outer(dY, X)`` and the input gradient ``dY @ W``.  A decode step
-multiplies a few rows (the batch) by each weight.  OpenBLAS runs that
-product on its small-matrix kernel while rows x d_out <= 1200 and packs the
-whole weight on every call past it; every product here stays under that
-bound at the decode bench's batch of 4 (the toy model's FFN, whose first
-matrix would not, is stored (d_in, d_out) instead).  An accumulating
+Every projection is stored C-contiguous as (d_in, d_out) and applied as
+``x @ W``; its gradient is ``fold_outer(X, dY)`` and the input gradient
+``dY @ W.T``.  A decode step multiplies a few rows (the batch) by each
+weight, and in this form OpenBLAS keeps its small-matrix kernel at every
+width; ``x @ W.T`` on a (d_out, d_in) weight packs the whole weight on
+every call once rows x d_out passes 1200.  The strategy weights are not
+projections: each row of W_phi is one slot's pseudo-query, so they stay
+(n, d_model) and the control reads ``x @ W_phi.T``.  An accumulating
 decode step adds its control rows only to the slots some row names.
 
 The control vector phi is computed from the pre-projection token
@@ -157,8 +157,8 @@ class AttentionConfig:
 class LayerParams:
     """Projections plus (optionally shared) strategy weights.
 
-    Each projection is C-contiguous (d_out, d_in), here (d_model, d_model),
-    and maps x to ``x @ w.T``.
+    Each projection is C-contiguous (d_in, d_out), here (d_model, d_model),
+    and maps x to ``x @ w``.
     """
 
     wq: np.ndarray
@@ -192,11 +192,10 @@ class GradTape:
 def draw_weight(
     rng: np.random.Generator, d_in: int, d_out: int, std: float | None = None
 ) -> np.ndarray:
-    """A (d_out, d_in) dense weight, N(0, std^2) with std 1/sqrt(d_in) by
-    default: the draws of a (d_in, d_out) matrix stored transposed, so a seed
-    gives the same model in either layout."""
+    """A (d_in, d_out) dense weight, N(0, std^2) with std 1/sqrt(d_in) by
+    default, as drawn: a seed fixes every entry of the model."""
     std = 1.0 / math.sqrt(d_in) if std is None else std
-    return np.ascontiguousarray(rng.normal(0.0, std, (d_in, d_out)).T)
+    return rng.normal(0.0, std, (d_in, d_out))
 
 
 def init_layer_params(config: AttentionConfig, rng: np.random.Generator) -> LayerParams:
@@ -654,12 +653,13 @@ def _softmax_backward(dout, Q, K, V, cache, tau):
     return dQ, dK, dV
 
 
-def _slot_memory_backward(phiT, K, V, dkt, dvt, grad_phi):
+def _slot_memory_backward(phiT, dkt, dvt, K=None, V=None):
     """(dK, dV, dphiT) of the slot memory (phi^T K, phi^T V) from its
-    gradients.  dphiT, (B, n, Nk) summed over heads, is made only when the
-    control has weights (grad_phi); it is None otherwise."""
+    gradients.  dphiT, (B, n, Nk) summed over heads, is made only for a
+    control with weights, whose forward tapes K and V; it is None
+    otherwise."""
     dphiT = None
-    if grad_phi:
+    if K is not None:
         dphiT = np.matmul(dkt, _swap(K)).sum(axis=1)
         dphiT += np.matmul(dvt, _swap(V)).sum(axis=1)
     phi = _swap(phiT)
@@ -715,9 +715,9 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
     H, tau = config.heads, config.tau
     B, N, _ = Xq.shape
 
-    Q = _split_heads(Xq @ params.wq.T, H)
-    K = _split_heads(Xkv @ params.wk.T, H)
-    V = _split_heads(Xkv @ params.wv.T, H)
+    Q = _split_heads(Xq @ params.wq, H)
+    K = _split_heads(Xkv @ params.wk, H)
+    V = _split_heads(Xkv @ params.wv, H)
 
     control = config.control
     tape = GradTape(config=config)
@@ -734,8 +734,10 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
         if control is not None:
             phiT = ar["phiT"] = _sequence_phi(config, params, Xkv, K)
             Km, Vm = np.matmul(phiT, K), np.matmul(phiT, V)
+            if params.strategy_weights is not None:  # dphi reads K and V
+                ar.update(K=K, V=V)
         out, cache = _softmax_forward(Q, Km, Vm, tau, config.site == "causal")
-        ar.update(Q=Q, K=K, V=V, Km=Km, Vm=Vm, family="softmax")
+        ar.update(Q=Q, Km=Km, Vm=Vm, family="softmax")
     elif control.stride:
         out, cache = _queue_causal_forward(Q, K, V, control.n, control.stride, tau)
         ar.update(Q=Q, K=K, V=V, family="queue")
@@ -753,7 +755,7 @@ def mha_forward(Xq, Xkv, params: LayerParams, config: AttentionConfig):
 
     ar["cache"] = cache
     O = _merge_heads(out)
-    Y = O @ params.wo.T
+    Y = O @ params.wo
     ar["O"] = O
     check_finite(Y, "attention output")
     return (Y[0] if squeeze else Y), tape
@@ -776,17 +778,15 @@ def mha_backward(tape: GradTape, d_out, Xq, Xkv=None):
     H, tau = config.heads, config.tau
     cache = ar.pop("cache")
 
-    dwo = fold_outer(d_out, ar.pop("O"))
-    dout_h = _split_heads(d_out @ ar["wo"], H)
+    dwo = fold_outer(ar.pop("O"), d_out)
+    dout_h = _split_heads(d_out @ ar["wo"].T, H)
 
     dA = None
     family = ar["family"]
     if family == "softmax":
-        K, V = ar.pop("K"), ar.pop("V")
         dQ, dK, dV = _softmax_backward(dout_h, ar.pop("Q"), ar.pop("Km"), ar.pop("Vm"), cache, tau)
         if "phiT" in ar:
-            dK, dV, dA = _slot_memory_backward(ar["phiT"], K, V, dK, dV, ar["sw"] is not None)
-        del K, V
+            dK, dV, dA = _slot_memory_backward(ar["phiT"], dK, dV, ar.pop("K", None), ar.pop("V", None))
     elif family == "queue":
         dQ, dK, dV = _queue_causal_backward(
             dout_h, ar.pop("Q"), ar.pop("K"), ar.pop("V"), cache, config.control.stride, tau)
@@ -801,13 +801,13 @@ def mha_backward(tape: GradTape, d_out, Xq, Xkv=None):
     dQf, dKf, dVf = _merge_heads(dQ), _merge_heads(dK), _merge_heads(dV)
     del dQ, dK, dV
     grads = {
-        "wq": fold_outer(dQf, Xq),
-        "wk": fold_outer(dKf, Xkv),
-        "wv": fold_outer(dVf, Xkv),
+        "wq": fold_outer(Xq, dQf),
+        "wk": fold_outer(Xkv, dKf),
+        "wv": fold_outer(Xkv, dVf),
         "wo": dwo,
     }
-    dXq = dQf @ ar["wq"]
-    dXkv = dKf @ ar["wk"] + dVf @ ar["wv"]
+    dXq = dQf @ ar["wq"].T
+    dXkv = dKf @ ar["wk"].T + dVf @ ar["wv"].T
 
     if isinstance(config.control, st.MlpControl):
         if config.site == "causal":  # alpha = exp(x W_phi^T)
@@ -911,8 +911,8 @@ def init_attn_state(
         if encoder_out is None:
             raise ValueError("cross attention state needs the encoder output")
         enc, _ = _batched(encoder_out)
-        K = _split_heads(enc @ params.wk.T, H)
-        V = _split_heads(enc @ params.wv.T, H)
+        K = _split_heads(enc @ params.wk, H)
+        V = _split_heads(enc @ params.wv, H)
         if control is not None:
             phiT = _sequence_phi(config, params, enc, K)
             K, V = np.matmul(phiT, K), np.matmul(phiT, V)
@@ -943,7 +943,7 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     H, dh, n, tau = config.heads, config.d_head, config.n, config.tau
     control = config.control
     t = state.t
-    q = (x @ params.wq.T).reshape(B, H, dh)
+    q = (x @ params.wq).reshape(B, H, dh)
 
     # the learned control reads the memory divided by its running normalizer:
     # the scores and the readout weights are divided, not the slot matrices
@@ -951,8 +951,8 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     learned = isinstance(control, st.MlpControl)
     kt, vt = state.ktilde, state.vtilde
     if config.site == "causal":
-        k = (x @ params.wk.T).reshape(B, H, dh)
-        v = (x @ params.wv.T).reshape(B, H, dh)
+        k = (x @ params.wk).reshape(B, H, dh)
+        v = (x @ params.wv).reshape(B, H, dh)
         if control is None or control.stride:
             # the token takes ring slot t mod slots; softmax reads its filled
             # slots, a queue the every-stride-th slots of t's residue
@@ -994,4 +994,4 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
     if norm is not None:
         a /= norm
     out = np.matmul(a[:, :, None, :], vt)[:, :, 0, :]
-    return check_finite(out.reshape(B, H * dh) @ params.wo.T, "attention output")
+    return check_finite(out.reshape(B, H * dh) @ params.wo, "attention output")

@@ -3,12 +3,17 @@
 Layout: a UTF-8 text header, then the raw payload.
 
     ndarrays <count>
+    dense d_in,d_out            (the layout of the dense weights)
     <name> <rows> <cols>        (one line per array, sorted by name)
     end
     <payload>
 
 The payload is each array's little-endian float64 data, row-major, in header
 order.  Vectors are stored as (1, dim).  Round-trips are byte-exact.
+
+The second line names the dense weights' layout.  A container without it
+was written when most of them were stored (d_out, d_in), and is refused:
+with square weights, shapes alone would load them transposed.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 _MAGIC = "ndarrays"
+DENSE_LAYOUT = "dense d_in,d_out"
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
@@ -31,7 +37,7 @@ def save_arrays(path, arrays: dict[str, np.ndarray]) -> None:
         items.append((name, a))
 
     with open(path, "wb") as f:
-        header = [f"{_MAGIC} {len(items)}"]
+        header = [f"{_MAGIC} {len(items)}", DENSE_LAYOUT]
         header += [f"{name} {a.shape[0]} {a.shape[1]}" for name, a in items]
         header.append("end\n")
         f.write("\n".join(header).encode("utf-8"))
@@ -51,6 +57,11 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     magic, count = line.split()
     if magic != _MAGIC:
         raise ValueError(f"not a parameter container: bad magic {magic!r}")
+    line, pos = next_line(pos)
+    if line != DENSE_LAYOUT:
+        raise ValueError(
+            f"the container names no {DENSE_LAYOUT!r} layout: it was written when "
+            "dense weights were stored (d_out, d_in); retrain to get a loadable one")
     shapes = []
     for _ in range(int(count)):
         line, pos = next_line(pos)

@@ -313,7 +313,10 @@ def cmd_decode(cfg) -> int:
         cfg["seed"] = saved.get("seed", cfg["seed"])
     model_cfg = model_config_from(cfg)
     model = tm.ToyLM(model_cfg)
-    loaded = checkpoint.load_arrays(ckpt_path)
+    try:
+        loaded = checkpoint.load_arrays(ckpt_path)
+    except ValueError as e:
+        raise ConfigError(f"cannot load checkpoint {ckpt_path}: {e}") from e
     if set(loaded) != set(model.params):
         missing = set(model.params) ^ set(loaded)
         raise ConfigError(f"checkpoint does not match the model config (mismatched: {sorted(missing)[:4]}...)")

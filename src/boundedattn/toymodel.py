@@ -1,13 +1,10 @@
 """Desk-scale transformer LM and seq2seq built on the bounded-memory attention.
 
 Pre-norm blocks, ReLU feed-forward, learned token and position embeddings,
-no biases outside layer norms.  The attention projections, the FFN's
-second matrix and the logits head are stored C-contiguous as (d_out, d_in)
-and applied as ``x @ w.T``.  The FFN's first matrix ``w1`` is stored
-(d_model, d_ff), the shape of ``w2``, and applied as ``x @ w1``: a decode
-step multiplies a few rows by it, and OpenBLAS packs the whole weight on
-every call of the ``x @ w.T`` form once rows x d_out passes 1200, as
-``w1`` (d_out = d_ff) does first.  One block implementation,
+no biases outside layer norms.  Every dense weight (the attention
+projections, both FFN matrices and the logits head) is stored C-contiguous
+as (d_in, d_out) and applied as ``x @ w``, the layout the attention module
+gives its projections.  One block implementation,
 ``_Stack``, holds the batch forward, the backward and the streaming decode
 step for any ordered list of attention sites; the LM decoder, the seq2seq
 encoder and the seq2seq decoder are three instances of it.  The models add
@@ -28,7 +25,6 @@ payload symbols use the rest of the vocabulary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,13 +168,13 @@ def ffn_forward(h, w1, w2):
     input h again."""
     r = h @ w1
     np.maximum(r, 0.0, out=r)
-    return r @ w2.T, r
+    return r @ w2, r
 
 
 def ffn_backward(df, h, r, w1, w2):
-    dw2 = fold_outer(df, r)
+    dw2 = fold_outer(r, df)
     relu = r > 0.0
-    dz = np.matmul(df, w2, out=r)  # the taped ReLU output is not read again
+    dz = np.matmul(df, w2.T, out=r)  # the taped ReLU output is not read again
     dz *= relu
     dw1 = fold_outer(h, dz)
     return dz @ w1.T, dw1, dw2
@@ -203,9 +199,6 @@ class DecoderState:
 
 
 _PROJ = ("wq", "wk", "wv", "wo")
-# the name endings of the dense weights stored (d_out, d_in); ffn.w1 is
-# stored (d_in, d_out), the order the clip norm already sums in
-_DENSE = tuple(f".{w}" for w in _PROJ) + (".ffn.w2", "out_w")
 _SITE_LN = {"attn": "ln1", "cross": "ln_cross"}  # the pre-norm in front of each site
 
 
@@ -261,7 +254,7 @@ class _Stack:
             for name, _ in self.sites[1:]:
                 _ln_params(params, f"{base}.{_SITE_LN[name]}", d)
             _ln_params(params, f"{base}.ln2", d)
-            params[f"{base}.ffn.w1"] = rng.normal(0.0, 1.0 / math.sqrt(d), (d, mult * d))
+            params[f"{base}.ffn.w1"] = draw_weight(rng, d, mult * d)
             params[f"{base}.ffn.w2"] = draw_weight(rng, mult * d, d)
         _ln_params(params, self.final_ln, d)
 
@@ -482,8 +475,8 @@ class _Model:
         the dict as it is made (``_add_grad``), then returns the dict in
         ``params`` order, the order the clip norm in ``adam_update`` sums in.
         """
-        grads["out_w"] = fold_outer(dlogits, xf)
-        return dlogits @ self.params["out_w"]
+        grads["out_w"] = fold_outer(xf, dlogits)
+        return dlogits @ self.params["out_w"].T
 
 
 # --- the decoder-only language model -------------------------------------------------
@@ -501,7 +494,7 @@ class ToyLM(_Model):
         tokens = self._tokens(tokens)
         xf, tape = self.stack.forward(self.params, self._embed(tokens))
         tape["tokens"] = tokens
-        return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
+        return check_finite(xf @ self.params["out_w"], "logits"), GradTape(None, tape)
 
     def backward(self, tape: GradTape, dlogits) -> dict[str, np.ndarray]:
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
@@ -523,7 +516,7 @@ class ToyLM(_Model):
         x = self._embed_step(tokens_t, state.pos)
         xf = self.stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ self.params["out_w"].T
+        return xf @ self.params["out_w"]
 
 
 # --- loss -----------------------------------------------------------------------
@@ -705,19 +698,6 @@ def adam_init(model) -> AdamState:
     )
 
 
-def _square_sum(name, g) -> float:
-    """sum(g * g), a dense weight's added in (d_in, d_out) order.
-
-    That is the order of the input-major layout every dense weight had
-    before the ones in ``_DENSE`` were stored (d_out, d_in).  Summing in it
-    keeps the clip norm, and so every clipped step of training, bitwise
-    what it was in that layout.
-    """
-    if name.endswith(_DENSE):
-        g = np.ascontiguousarray(g.T)
-    return float((g * g).sum())
-
-
 def adam_update(model, grads, opt: AdamState):
     """One clipped Adam step.  It consumes ``grads``: the clip scales them in
     place and each gradient's buffer then holds the step's denominator.  The
@@ -728,7 +708,7 @@ def adam_update(model, grads, opt: AdamState):
     if cfg.warmup_steps > 0:
         lr *= min(1.0, opt.t / cfg.warmup_steps)
     scale = None
-    norm = opt.grad_norm = float(np.sqrt(sum(_square_sum(k, g) for k, g in grads.items())))
+    norm = opt.grad_norm = float(np.sqrt(sum((g * g).sum() for g in grads.values())))
     if 0 < cfg.clip_norm < norm:
         scale = cfg.clip_norm / norm
     b1, b2, eps = cfg.beta1, cfg.beta2, cfg.eps
@@ -889,7 +869,7 @@ class ToySeq2Seq(_Model):
         tgt = self._tokens(tgt)
         xf, tape = self.dec_stack.forward(self.params, self._embed(tgt), enc_out)
         tape.update(enc=enc_tape, tokens=tgt)
-        return check_finite(xf @ self.params["out_w"].T, "logits"), GradTape(None, tape)
+        return check_finite(xf @ self.params["out_w"], "logits"), GradTape(None, tape)
 
     def backward(self, tape: GradTape, dlogits):
         """Gradients of one ``forward``; a tape is consumed by its first backward."""
@@ -915,7 +895,7 @@ class ToySeq2Seq(_Model):
         x = self._embed_step(tokens_t, state.pos)
         xf = self.dec_stack.step(self.params, x, state)
         state.pos += 1
-        return xf @ self.params["out_w"].T
+        return xf @ self.params["out_w"]
 
     def greedy_decode(self, src, max_len: int):
         src = np.asarray(src)

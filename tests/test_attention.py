@@ -236,8 +236,8 @@ def test_constant_control_decode_step_equals_the_dense_update(kind, extra):
     for t, x in enumerate(X):
         row = st.phi_at(c.control, t, p.strategy_weights)
         alpha = np.broadcast_to(row, (B, n))
-        k = (x @ p.wk.T).reshape(B, c.heads, c.d_head)
-        v = (x @ p.wv.T).reshape(B, c.heads, c.d_head)
+        k = (x @ p.wk).reshape(B, c.heads, c.d_head)
+        v = (x @ p.wv).reshape(B, c.heads, c.d_head)
         want = [state.ktilde.copy(), state.vtilde.copy(), state.norm.copy()]
         before = [a.copy() for a in want]
         want[0] += alpha[:, None, :, None] * k[:, :, None, :]
@@ -261,8 +261,8 @@ def test_learned_decode_step_equals_the_dense_update():
     X = make_rng(48).normal(size=(6, B, c.d_model))
     for x in X:
         alpha = np.exp(x @ p.strategy_weights.T)
-        k = (x @ p.wk.T).reshape(B, c.heads, c.d_head)
-        v = (x @ p.wv.T).reshape(B, c.heads, c.d_head)
+        k = (x @ p.wk).reshape(B, c.heads, c.d_head)
+        v = (x @ p.wv).reshape(B, c.heads, c.d_head)
         want = [state.ktilde + alpha[:, None, :, None] * k[:, :, None, :],
                 state.vtilde + alpha[:, None, :, None] * v[:, :, None, :],
                 state.norm + alpha[:, None, :]]
@@ -400,7 +400,7 @@ def test_future_perturbation_leaves_prefix_unchanged(kind, extra):
 
 
 def test_head_independence():
-    # zeroing one head's rows of the value projection changes only that
+    # zeroing one head's columns of the value projection changes only that
     # head's slice of the concatenated output (checked with identity Wo)
     rng = make_rng(8)
     N, d, heads = 6, 8, 2
@@ -410,7 +410,7 @@ def test_head_independence():
     p.wo = np.eye(d)
     y0, _ = att.mha_forward(X, None, p, c)
     p.wv = p.wv.copy()
-    p.wv[: d // heads] = 0.0  # head 0's value rows
+    p.wv[:, : d // heads] = 0.0  # head 0's value columns
     y1, _ = att.mha_forward(X, None, p, c)
     dh = d // heads
     assert np.abs(y1[:, :dh]).max() <= 1e-12 or np.abs(y0[:, :dh] - y1[:, :dh]).max() > 0
@@ -462,8 +462,8 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
     p = make_params(c, seed=6)
     y, _ = att.mha_forward(X, None, p, c)
     phi = softmax(X @ p.strategy_weights[0])
-    vtilde = phi @ (X @ p.wv.T)
-    np.testing.assert_allclose(y, np.tile(vtilde @ p.wo.T, (N, 1)), atol=1e-12)
+    vtilde = phi @ (X @ p.wv)
+    np.testing.assert_allclose(y, np.tile(vtilde @ p.wo, (N, 1)), atol=1e-12)
 
 
 # --- equivalence with the memory-level ops ----------------------------------------
@@ -475,9 +475,9 @@ def _memory_level_causal_mlp(X, p, c):
     from boundedattn.strategies import activation_forward
 
     (N, d), H, dh = X.shape, c.heads, c.d_head
-    Q = (X @ p.wq.T).reshape(N, H, dh)
-    K = (X @ p.wk.T).reshape(N, H, dh)
-    V = (X @ p.wv.T).reshape(N, H, dh)
+    Q = (X @ p.wq).reshape(N, H, dh)
+    K = (X @ p.wk).reshape(N, H, dh)
+    V = (X @ p.wv).reshape(N, H, dh)
     out = np.zeros((N, H, dh))
     for h in range(H):
         state = zero_memory(c.n, dh, with_norm=True)
@@ -485,7 +485,7 @@ def _memory_level_causal_mlp(X, p, c):
             alpha = activation_forward(X[t] @ p.strategy_weights.T)
             state = mem_step(state, alpha, K[t, h], V[t, h], alpha=alpha)
             out[t, h] = readout_normalized(Q[t, h], state, temperature=c.tau)
-    return out.reshape(N, d) @ p.wo.T
+    return out.reshape(N, d) @ p.wo
 
 
 def test_causal_mlp_matches_memory_level_normalized_readout():
@@ -542,7 +542,7 @@ def test_sequence_mlp_at_large_pre_activations_is_n_pseudo_query_attentions(site
     ar = tape.arrays
     dh = c.d_head
     for b in range(2):
-        K, V = kv[b] @ p.wk.T, kv[b] @ p.wv.T
+        K, V = kv[b] @ p.wk, kv[b] @ p.wv
         for h in range(c.heads):
             heads = slice(h * dh, (h + 1) * dh)
             want_k = pseudo_query_memory(p.strategy_weights, kv[b], K[:, heads])
@@ -560,15 +560,15 @@ def test_causal_window_matches_direct_window_attention():
     p = make_params(c, seed=13)
     y, _ = att.mha_forward(X, None, p, c)
     H, dh = c.heads, c.d_head
-    Q = (X @ p.wq.T).reshape(N, H, dh)
-    K = (X @ p.wk.T).reshape(N, H, dh)
-    V = (X @ p.wv.T).reshape(N, H, dh)
+    Q = (X @ p.wq).reshape(N, H, dh)
+    K = (X @ p.wk).reshape(N, H, dh)
+    V = (X @ p.wv).reshape(N, H, dh)
     for t in range(n - 1, N):  # full windows only
         window = list(range(t - n + 1, t + 1))
         out_t = np.stack(
             [full_attention(Q[t, h], K[window, h], V[window, h]) for h in range(H)]
         ).reshape(d)
-        assert np.abs(y[t] - out_t @ p.wo.T).max() <= 1e-10
+        assert np.abs(y[t] - out_t @ p.wo).max() <= 1e-10
 
 
 @pytest.mark.parametrize("site", ["causal", "encoder_self", "cross"])
@@ -594,7 +594,7 @@ def test_never_written_slot_is_masked_only_at_the_causal_site(site):
     p = make_params(c3, seed=9)
     src = X if Xkv is None else Xkv
     phiT = st.phi_matrix(c3.control, N).T
-    s = (X @ p.wq.T) @ (phiT @ (src @ p.wk.T)).T / c3.tau
+    s = (X @ p.wq) @ (phiT @ (src @ p.wk)).T / c3.tau
     scale = 1.0 - 1.0 / (1.0 + np.exp(s).sum(axis=1, keepdims=True))
     np.testing.assert_allclose(y4, scale * y3, atol=1e-12)
     assert np.abs(y4 - y3).max() > 0.05
@@ -946,6 +946,21 @@ def test_weightless_sequence_control_backward_makes_no_phi_gradient(kind, extra)
         tracemalloc.stop()
     assert "strategy_weights" not in grads
     assert peak <= 1.77e6, f"{kind} encoder_self backward peaked at {peak / 1e6:.2f} MB"
+
+
+def test_weightless_sequence_control_tapes_no_keys_or_values():
+    # only a control with weights reads K and V in its backward (for dphi):
+    # at B 8, N 64, d 64, H 4, n 32 the compressive encoder_self tape holds
+    # 1,572,864 bytes, against 2,097,152 with K and V taped beside Km and Vm
+    X = make_rng(59).normal(size=(8, 64, 64))
+    for kind, taped in (("compressive", False), ("mlp", True)):
+        c = cfg(site="encoder_self", kind=kind, n=32, heads=4, d_model=64, ratio=2)
+        _, tape = att.mha_forward(X, None, make_params(c), c)
+        assert ({"K", "V"} <= set(tape.arrays)) == taped, kind
+        if not taped:
+            assert _tape_nbytes(tape) == 1_572_864
+        grads, _, _ = att.mha_backward(tape, np.ones_like(X), X)
+        assert ("strategy_weights" in grads) == taped, kind
 
 
 # --- config validation ----------------------------------------------------------

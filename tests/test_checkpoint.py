@@ -38,8 +38,17 @@ def test_header_is_little_endian_float64_payload(tmp_path):
     save_arrays(path, {"a": np.array([[1.0, 2.0]])})
     blob = path.read_bytes()
     header, payload = blob.split(b"end\n", 1)
-    assert header.decode().splitlines() == ["ndarrays 1", "a 1 2"]
+    assert header.decode().splitlines() == ["ndarrays 1", "dense d_in,d_out", "a 1 2"]
     assert payload == np.array([1.0, 2.0]).astype("<f8").tobytes()
+
+
+def test_container_without_the_dense_layout_line_rejected(tmp_path):
+    # a container written before the header named the layout of its dense
+    # weights, which were then stored (d_out, d_in)
+    path = tmp_path / "old.bin"
+    path.write_bytes(b"ndarrays 1\na 1 2\nend\n" + np.array([1.0, 2.0]).astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="d_out, d_in"):
+        load_arrays(path)
 
 
 def test_bad_names_and_shapes_rejected(tmp_path):

@@ -104,29 +104,31 @@ def test_decode_after_train(tmp_path, capsys):
     assert all(0 <= int(t) < 16 for t in tokens)
 
 
-def test_decode_refuses_a_checkpoint_in_the_old_input_major_layout(tmp_path, capsys):
-    # the default config stores ffn.w1 (64, 256) and ffn.w2 (64, 256).  A
-    # checkpoint in the input-major layout (every dense weight (d_in, d_out))
-    # or in the layout before it (ffn.w1 (256, 64)) must be refused.
+@pytest.mark.parametrize("model", [{}, {"ffn_mult": 1, "vocab": 64}], ids=["default", "square"])
+def test_decode_refuses_a_checkpoint_in_the_earlier_dense_layout(tmp_path, capsys, model):
+    # the earlier layout stored every dense weight but ffn.w1 (d_out, d_in),
+    # in a container whose header named no layout.  With ffn_mult 1 and
+    # vocab = d_model every one of its shapes is the model's, so only the
+    # header can refuse it
     import copy
 
     from boundedattn import checkpoint
     from boundedattn import toymodel as tm
     from boundedattn.cli import DEFAULTS, model_config_from
 
-    model = tm.ToyLM(model_config_from(copy.deepcopy(DEFAULTS)))
-    assert model.params["dec0.ffn.w1"].shape == model.params["dec0.ffn.w2"].shape == (64, 256)
-    dense = (".wq", ".wk", ".wv", ".wo", ".ffn.w2", "out_w")
-    layouts = {
-        "input_major": (dense, "dec0.ffn.w2 has shape (256, 64), model wants (64, 256)"),
-        "d_out_by_d_in": ((".ffn.w1",), "dec0.ffn.w1 has shape (256, 64), model wants (64, 256)"),
-    }
-    for name, (transposed, error) in layouts.items():
-        old = {k: (v.T if k.endswith(transposed) else v) for k, v in model.params.items()}
-        ckpt = tmp_path / f"{name}.bin"
-        checkpoint.save_arrays(ckpt, old)
-        assert run(["decode", "--ckpt", str(ckpt)]) == 2
-        assert error in capsys.readouterr().err
+    cfg = copy.deepcopy(DEFAULTS)
+    cfg["model"].update(model)
+    params = tm.ToyLM(model_config_from(cfg)).params
+    earlier = (".wq", ".wk", ".wv", ".wo", ".ffn.w2", "out_w")
+    old = {k: (v.T if k.endswith(earlier) else v) for k, v in params.items()}
+    assert all(old[k].shape == v.shape for k, v in params.items()) == bool(model)
+    ckpt = tmp_path / "model.bin"
+    checkpoint.save_arrays(ckpt, old)
+    layout = f"\n{checkpoint.DENSE_LAYOUT}".encode()
+    ckpt.write_bytes(ckpt.read_bytes().replace(layout, b"", 1))  # the earlier header
+    (tmp_path / "model.json").write_text(json.dumps({"model": model}))
+    assert run(["decode", "--ckpt", str(ckpt)]) == 2
+    assert "dense weights were stored (d_out, d_in)" in capsys.readouterr().err
 
 
 def test_bench_grid_row_count(tmp_path, capsys):

@@ -345,10 +345,9 @@ def test_greedy_decode_rejects_an_empty_prefix():
 def test_dense_weights_are_c_contiguous_in_their_stored_shapes():
     cfg = seq2seq_config()
     d, f, vocab = cfg.d_model, cfg.ffn_mult * cfg.d_model, cfg.vocab
+    # every dense weight is (d_in, d_out)
     shapes = {".wq": (d, d), ".wk": (d, d), ".wv": (d, d), ".wo": (d, d),
-              ".ffn.w1": (d, f), ".ffn.w2": (d, f), "out_w": (vocab, d)}
-    # the clip norm's list of the weights stored (d_out, d_in)
-    assert set(tm._DENSE) == set(shapes) - {".ffn.w1"}
+              ".ffn.w1": (d, f), ".ffn.w2": (f, d), "out_w": (d, vocab)}
     # LM: 2 layers x (4 projections + 2 FFN) + head; seq2seq: encoder 2 x 6,
     # decoder 2 x (8 projections + 2 FFN), head
     for model, count in ((tm.ToyLM(cfg), 13), (tm.ToySeq2Seq(cfg), 33)):
@@ -357,6 +356,14 @@ def test_dense_weights_are_c_contiguous_in_their_stored_shapes():
         for k, v in dense.items():
             want = next(shape for end, shape in shapes.items() if k.endswith(end))
             assert v.shape == want and v.flags.c_contiguous, k
+
+
+@pytest.mark.parametrize("std", [None, 0.02])
+def test_draw_weight_is_the_normal_draw_as_drawn(std):
+    # the mapping from seed to model: a (d_in, d_out) draw, stored as drawn
+    got = tm.draw_weight(make_rng(3), 5, 7, std)
+    want = make_rng(3).normal(0.0, 1.0 / math.sqrt(5) if std is None else std, (5, 7))
+    assert np.array_equal(got, want) and got.flags.c_contiguous
 
 
 def test_decoder_state_size_formula():
@@ -620,13 +627,13 @@ def _ref_layer_norm_backward(dy, cache):
 def _ref_ffn_forward(h, w1, w2):
     z = h @ w1
     r = np.maximum(z, 0.0)
-    return r @ w2.T, (h, z, r)
+    return r @ w2, (h, z, r)
 
 
 def _ref_ffn_backward(df, cache, w1, w2):
     h, z, r = cache
-    dw2 = tm.fold_outer(df, r)
-    dz = (df @ w2) * (z > 0.0)
+    dw2 = tm.fold_outer(r, df)
+    dz = (df @ w2.T) * (z > 0.0)
     return dz @ w1.T, tm.fold_outer(h, dz), dw2
 
 
@@ -637,7 +644,7 @@ def _ref_adam_update(model, grads, opt):
     if cfg.warmup_steps > 0:
         lr *= min(1.0, opt.t / cfg.warmup_steps)
     if cfg.clip_norm > 0:
-        norm = np.sqrt(sum(tm._square_sum(k, g) for k, g in grads.items()))
+        norm = np.sqrt(sum((g * g).sum() for g in grads.values()))
         if norm > cfg.clip_norm:
             scale = cfg.clip_norm / norm
             grads = {k: g * scale for k, g in grads.items()}
@@ -662,7 +669,7 @@ def test_layer_norm_and_ffn_equal_their_expression_forms(shape):
     d, f = shape[-1], 3 * shape[-1]
     x = rng.normal(0.0, 2.0, shape) + 0.5
     g, b = rng.normal(1.0, 0.3, (1, d)), rng.normal(0.0, 0.3, (1, d))
-    w1, w2 = rng.normal(0.0, 0.3, (d, f)), rng.normal(0.0, 0.3, (d, f))
+    w1, w2 = rng.normal(0.0, 0.3, (d, f)), rng.normal(0.0, 0.3, (f, d))
     dy = rng.normal(size=shape)
 
     y, cache = tm.layer_norm_forward(x, g, b)
@@ -686,7 +693,7 @@ def test_adam_update_equals_its_expression_form_with_clipping():
     rng = make_rng(4)
     for _ in range(3):
         grads = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
-        norm = np.sqrt(sum(tm._square_sum(k, g) for k, g in grads.items()))
+        norm = np.sqrt(sum((g * g).sum() for g in grads.values()))
         assert norm > cfg.clip_norm  # the clip scales every step
         _ref_adam_update(ref, {k: g.copy() for k, g in grads.items()}, opt_ref)
         tm.adam_update(model, grads, opt)
