@@ -43,8 +43,10 @@ decode step adds its control rows only to the slots some row names.
 
 The control vector phi is computed from the pre-projection token
 representation (the same x that feeds the q/k/v projections) and is shared
-across heads; each head keeps its own (n x d_head) slot matrices.  The
-learned control (``mlp``) has one form per site, and no option: at the
+across heads; each head keeps its own (n x d_head) slot matrices, while a
+decode state's per-slot normalizer, a running sum of |phi|, is one (B, 1, n)
+row the heads share.  Every readout divides its scores by tau = sqrt(d_head).
+The learned control (``mlp``) has one form per site, and no option: at the
 sequence sites phi^T is a softmax over positions of W_phi x per slot, n
 pseudo-query attentions whose backward is the softmax's own; at the causal
 site the raw weights exp(W_phi x_t) are written and each slot is divided by
@@ -127,7 +129,6 @@ class AttentionConfig:
     site: str
     strategy: StrategySpec
     n: int
-    temperature: float | None = None  # None -> sqrt(d_head)
 
     def __post_init__(self):
         if self.site not in SITES:
@@ -150,7 +151,8 @@ class AttentionConfig:
 
     @property
     def tau(self) -> float:
-        return math.sqrt(self.d_head) if self.temperature is None else self.temperature
+        """The readout temperature: sqrt(d_head)."""
+        return math.sqrt(self.d_head)
 
 
 @dataclass
@@ -858,9 +860,10 @@ class AttnState:
     ktilde: np.ndarray
     vtilde: np.ndarray
     t: int = 0
-    # accumulating causal strategies: running per-slot sum of |phi| (B, H, n);
-    # the learned control divides by it, constant controls read only the
-    # slots where it is nonzero (the written ones)
+    # accumulating causal strategies: running per-slot sum of |phi| (B, 1, n),
+    # one row that every head shares; the learned control divides by it,
+    # constant controls read only the slots where it is nonzero (the written
+    # ones)
     norm: np.ndarray | None = None
 
     def state_arrays(self) -> list[np.ndarray]:
@@ -922,7 +925,7 @@ def init_attn_state(
         raise ValueError("only causal and cross sites have decode state")
     slots = capacity if control is None else max(control.stride, 1) * n
     shape = (batch, H, slots, dh)
-    norm = None if control is None or control.stride else _mapped_zeros((batch, H, n))
+    norm = None if control is None or control.stride else _mapped_zeros((batch, 1, n))
     return AttnState(config=config, ktilde=_mapped_zeros(shape), vtilde=_mapped_zeros(shape), norm=norm)
 
 
@@ -978,7 +981,7 @@ def stream_step(x, params: LayerParams, config: AttentionConfig, state: AttnStat
             w = row[:, slots]
             kt[:, :, slots] += w[:, None, :, None] * k[:, :, None, :]
             vt[:, :, slots] += w[:, None, :, None] * v[:, :, None, :]
-            state.norm[:, :, slots] += np.abs(w)[:, None]
+            state.norm[:, :, slots] += np.abs(w)[:, None]  # (B, 1, slots)
         state.t = t + 1
         if learned:
             if np.any(state.norm <= 0.0):

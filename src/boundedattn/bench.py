@@ -177,12 +177,12 @@ def decoder_state_bytes(config: ToyModelConfig, length: int) -> int:
     n = config.causal.n
     control = control_for(n, config.causal.strategy)
     if control is None:
-        per_head = 2 * length * dh  # the filled key/value cache
+        per_layer = config.heads * 2 * length * dh  # the filled key/value cache
     elif control.stride:
-        per_head = 2 * control.stride * n * dh  # a ring of stride * n key/value slots
+        per_layer = config.heads * 2 * control.stride * n * dh  # a ring of stride * n key/value slots
     else:
-        per_head = 2 * n * dh + n  # slot matrices plus the per-slot normalizer
-    return config.layers * config.heads * per_head * 8
+        per_layer = config.heads * 2 * n * dh + n  # slot matrices plus the heads' one normalizer
+    return config.layers * per_layer * 8
 
 
 def run_memory_audit(model: ToyLM, length: int) -> int:

@@ -9,7 +9,8 @@ Layout: a UTF-8 text header, then the raw payload.
     <payload>
 
 The payload is each array's little-endian float64 data, row-major, in header
-order.  Vectors are stored as (1, dim).  Round-trips are byte-exact.
+order.  Vectors are stored as (1, dim).  Round-trips are byte-exact.  A
+payload that holds NaN or Inf is refused on load, naming its array.
 
 The second line names the dense weights' layout.  A container without it
 was written when most of them were stored (d_out, d_in), and is refused:
@@ -78,6 +79,8 @@ def load_arrays(path) -> dict[str, np.ndarray]:
         if len(raw) != nbytes:
             raise ValueError(f"truncated payload while reading {name!r}")
         out[name] = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        if not np.isfinite(out[name]).all():
+            raise ValueError(f"array {name!r} holds NaN or Inf")
         pos += nbytes
     if pos != len(blob):
         raise ValueError("trailing bytes after final array")

@@ -4,8 +4,11 @@ Configuration is a strict JSON document (unknown keys are fatal, reported by
 key path).  The sections ``model``, ``strategy``, ``train`` and ``bench``
 take their keys, defaults and value types from the dataclasses they fill
 (``ToyModelConfig``, ``StrategySpec``, ``TaskSpec``, ``BenchSpec``); the
-tables below name only what differs.  Flags win over the config file.  Exit
-codes: 0 success, 1 verification or training failure, 2 usage/config errors.
+tables below name only what differs.  A retired key, one that chose an
+option which now has a single value, still loads at that value and is
+dropped; any other value of it is an error.  Flags win over the config
+file.  Exit codes: 0 success, 1 verification, training or decode failure,
+2 usage/config errors.
 The output directory may be overridden with the BOUNDEDATTN_OUTDIR
 environment variable.
 """
@@ -44,16 +47,17 @@ CLI_SET = {"model": {"causal", "encoder", "cross", "seed"}, "bench": {"seed"}}
 # (type, default) of the keys that no field holds, or whose field has no default
 EXTRA = {
     "": {"seed": (int, 0), "out_dir": (str, "out")},
-    "strategy": {
-        "kind": (str, "mlp"), "n": (int, 32), "activation": (str, "exp"), "normalization": (str, "auto"),
-    },
+    "strategy": {"kind": (str, "mlp"), "n": (int, 32)},
     "train": {"task": (str, "copy"), "steps": (int, 2000), "eval_batches": (int, 8)},
     "decode": {"ckpt": (str | None, None), "prefix": (tuple[int, ...], (0,)), "max_len": (int, 32)},
 }
-# strategy keys that older configs carry and that select nothing: each takes
-# only the values that name the one learned control of the causal site, which
-# the ``strategy`` section configures
-LEGACY_STRATEGY = {"activation": ("exp",), "normalization": ("auto", "prefix")}
+# retired keys -> (type, the values they may still carry): the readout
+# temperature is sqrt(d_head) (null), every layer shares one phi per site
+# (true), and the learned control is exp with the prefix normalizer
+RETIRED = {
+    "model": {"temperature": (float | None, (None,)), "tie_phi_across_layers": (bool, (True,))},
+    "strategy": {"activation": (str, ("exp",)), "normalization": (str, ("auto", "prefix"))},
+}
 
 
 def _section_keys(section: str, cls) -> dict:
@@ -101,15 +105,28 @@ class ConfigError(ValueError):
     pass
 
 
-def _check_keys(doc: dict, keys: dict = KEYS, prefix: str = ""):
+def _check_keys(doc: dict, keys: dict = KEYS, prefix: str = "") -> dict:
+    """``doc`` without its retired keys; a ConfigError names an unknown key,
+    a section that is not an object or a retired key at another value."""
+    out = {}
     for key, value in doc.items():
         path = prefix + key
+        retired = RETIRED.get(prefix[:-1], {}).get(key)
+        if retired is not None:
+            typ, legal = retired
+            if _convert(value, typ, path) not in legal:
+                raise ConfigError(
+                    f"{path} is retired and takes only {' or '.join(map(json.dumps, legal))}, "
+                    f"got {json.dumps(value)}")
+            continue
         if key not in keys:
             raise ConfigError(f"unknown config key: {path}")
         if isinstance(keys[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"config key {path} must be an object")
-            _check_keys(value, keys[key], path + ".")
+            value = _check_keys(value, keys[key], path + ".")
+        out[key] = value
+    return out
 
 
 def _key_type(path: str):
@@ -164,8 +181,7 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"config is not valid JSON: {e}")
         if not isinstance(doc, dict):
             raise ConfigError("config root must be an object")
-        _check_keys(doc)
-        for key, value in doc.items():
+        for key, value in _check_keys(doc).items():
             if isinstance(KEYS[key], dict):
                 cfg[key].update(value)
             else:
@@ -215,10 +231,6 @@ def _build(section: str, values: dict, **cli_set):
 
 def model_config_from(cfg: dict) -> tm.ToyModelConfig:
     cfg = _typed(cfg)
-    for key, legal in LEGACY_STRATEGY.items():
-        value = cfg["strategy"][key]
-        if value not in legal:
-            raise ConfigError(f"strategy.{key}: expected {' or '.join(map(repr, legal))}, got {value!r}")
     spec = _build("strategy", cfg["strategy"])
     causal = tm.SiteSpec(spec, cfg["strategy"]["n"])
     model_cfg = _build("model", cfg["model"], causal=causal, seed=cfg["seed"])
@@ -288,9 +300,7 @@ def cmd_train(cfg) -> int:
     checkpoint.save_arrays(out / "model.bin", model.params)
     tm.save_curve_csv(out / "curve.csv", curve)
     (out / "model.json").write_text(json.dumps(cfg, indent=2, sort_keys=True), encoding="utf-8")
-    acc = tm.evaluate_accuracy(
-        model, tm.TaskSampler(task), tc["eval_batches"], make_rng(cfg["seed"] + 10_000)
-    )
+    acc, _ = tm.evaluate(model, tm.TaskSampler(task), tc["eval_batches"], make_rng(cfg["seed"] + 10_000))
     final_loss = curve[-1][1] if curve else float("nan")
     print(f"steps={len(curve)} final_loss={final_loss:.4f} heldout_accuracy={acc:.4f}")
     print(f"wrote {out / 'model.bin'} and {out / 'curve.csv'}")
@@ -306,8 +316,7 @@ def cmd_decode(cfg) -> int:
         raise ConfigError(f"checkpoint not found: {ckpt_path}")
     sidecar = ckpt_path.with_suffix(".json")
     if sidecar.exists():
-        saved = json.loads(sidecar.read_text(encoding="utf-8"))
-        _check_keys(saved)
+        saved = _check_keys(json.loads(sidecar.read_text(encoding="utf-8")))
         for key in ("model", "strategy"):
             cfg[key].update(saved.get(key, {}))
         cfg["seed"] = saved.get("seed", cfg["seed"])
@@ -329,7 +338,11 @@ def cmd_decode(cfg) -> int:
     prefix = np.array([dc["prefix"]], dtype=np.intp)
     if prefix.min() < 0 or prefix.max() >= model_cfg.vocab:
         raise ConfigError("decode.prefix contains out-of-vocabulary ids")
-    out = tm.greedy_decode(model, prefix, dc["max_len"])
+    try:
+        out = tm.greedy_decode(model, prefix, dc["max_len"])
+    except ArithmeticError as e:
+        print(f"decode failed: {e}", file=sys.stderr)
+        return 1
     print(" ".join(str(int(t)) for t in out[0]))
     return 0
 

@@ -356,7 +356,7 @@ def suite_param_tying() -> SuiteResult:
     t0 = time.perf_counter()
     cfg = ToyModelConfig(
         layers=4, d_model=64, heads=4, ffn_mult=4, vocab=64, max_positions=128,
-        causal=SiteSpec(StrategySpec(kind="mlp"), 16), tie_phi_across_layers=True,
+        causal=SiteSpec(StrategySpec(kind="mlp"), 16),
     )
     model = ToyLM(cfg)
     frac = model.strategy_param_count() / model.param_count()

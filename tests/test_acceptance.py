@@ -140,7 +140,7 @@ def _train_copy_seq2seq(cross_kind, cross_n, causal_kind, causal_n, seed=0):
     )
     model = tm.ToySeq2Seq(cfg, rng=make_rng(seed))
     tm.train(model, COPY_TASK, 2000, make_rng(seed))
-    acc = tm.evaluate_seq2seq_accuracy(model, tm.TaskSampler(COPY_TASK), 8, make_rng(77_000))
+    acc, _ = tm.evaluate(model, tm.TaskSampler(COPY_TASK), 8, make_rng(77_000))
     return model, acc
 
 

@@ -62,7 +62,7 @@ def test_identity_control_recovers_softmax_causal():
 STREAMABLE = [
     ("softmax", {}),
     ("mlp", {}),
-    ("mlp", {"temperature": 0.5}),
+    ("mlp", {"heads": 1}),  # tau = sqrt(8), not 2
     ("linformer", {"max_len": 16}),
     ("random", {"seed": 11, "max_len": 16}),
     ("compressive", {"ratio": 4}),
@@ -91,7 +91,7 @@ CHUNK = att._CHUNK
 MULTI_CHUNK_LENGTHS = (127, 128, 129, 261)
 MULTI_CHUNK = [
     ("mlp", {}),
-    ("mlp", {"temperature": 0.5}),
+    ("mlp", {"heads": 1}),  # tau = sqrt(8), not 2
     ("linformer", {"max_len": 261}),
     ("random", {"seed": 11, "max_len": 261}),
     ("compressive", {"ratio": 70}),  # 4 slots reach 280 tokens
@@ -458,7 +458,7 @@ def test_single_head_single_slot_mlp_matches_hand_computation():
     rng = make_rng(24)
     N, d = 5, 4
     X = rng.normal(size=(N, d))
-    c = cfg(site="encoder_self", kind="mlp", n=1, heads=1, d_model=d, temperature=1.0)
+    c = cfg(site="encoder_self", kind="mlp", n=1, heads=1, d_model=d)
     p = make_params(c, seed=6)
     y, _ = att.mha_forward(X, None, p, c)
     phi = softmax(X @ p.strategy_weights[0])
@@ -492,7 +492,7 @@ def test_causal_mlp_matches_memory_level_normalized_readout():
     rng = make_rng(31)
     N, d, n = 8, 8, 3
     X = rng.normal(size=(N, d))
-    c = cfg(site="causal", kind="mlp", n=n, d_model=d, heads=2, temperature=1.0)
+    c = cfg(site="causal", kind="mlp", n=n, d_model=d, heads=2)
     p = make_params(c, seed=12)
     y, _ = att.mha_forward(X, None, p, c)
     assert np.abs(y - _memory_level_causal_mlp(X, p, c)).max() <= 1e-10
@@ -556,7 +556,7 @@ def test_causal_window_matches_direct_window_attention():
     rng = make_rng(32)
     N, d, n = 12, 8, 3
     X = rng.normal(size=(N, d))
-    c = cfg(site="causal", kind="window", n=n, d_model=d, heads=2, temperature=1.0)
+    c = cfg(site="causal", kind="window", n=n, d_model=d, heads=2)
     p = make_params(c, seed=13)
     y, _ = att.mha_forward(X, None, p, c)
     H, dh = c.heads, c.d_head
@@ -566,7 +566,7 @@ def test_causal_window_matches_direct_window_attention():
     for t in range(n - 1, N):  # full windows only
         window = list(range(t - n + 1, t + 1))
         out_t = np.stack(
-            [full_attention(Q[t, h], K[window, h], V[window, h]) for h in range(H)]
+            [full_attention(Q[t, h], K[window, h], V[window, h], c.tau) for h in range(H)]
         ).reshape(d)
         assert np.abs(y[t] - out_t @ p.wo).max() <= 1e-10
 
@@ -625,13 +625,13 @@ def _check_param_grad(config, params, X, Xkv, R, getter, setter, analytic, tol=1
 
 GRAD_CASES = [
     ("causal", "mlp", {}),
-    ("causal", "mlp", {"temperature": 0.5}),
+    ("causal", "mlp", {"heads": 1}),  # tau = sqrt(8), not 2
     ("causal", "linformer", {"max_len": 12}),
     ("causal", "window", {}),
     ("causal", "random", {"seed": 2, "max_len": 12}),
     ("causal", "softmax", {}),
     ("encoder_self", "mlp", {}),
-    ("encoder_self", "mlp", {"temperature": 0.5}),
+    ("encoder_self", "mlp", {"heads": 1}),
     ("encoder_self", "linformer", {"max_len": 12}),
     ("cross", "mlp", {}),
     ("encoder_self", "softmax", {}),

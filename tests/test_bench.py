@@ -50,7 +50,7 @@ def test_bounded_state_constant_softmax_state_linear():
     assert sm[16] == 2 * sm[8]
     dh = spec.d_model // spec.heads
     assert sm[8] == 2 * 8 * dh * spec.heads * spec.layers * 8
-    assert mlp[8] == spec.layers * spec.heads * (2 * 4 * dh + 4) * 8
+    assert mlp[8] == spec.layers * (spec.heads * 2 * 4 * dh + 4) * 8  # one normalizer per layer
 
 
 def test_per_kind_bench_configs_decode_and_count_their_state():

@@ -211,7 +211,7 @@ def test_diverging_training_exits_one(tmp_path, capsys, monkeypatch):
     def nan_loss(logits, tokens, mask):
         return float("nan"), 0.0, np.zeros_like(logits)
 
-    monkeypatch.setattr("boundedattn.toymodel.next_token_loss", nan_loss)
+    monkeypatch.setattr("boundedattn.toymodel.masked_cross_entropy", nan_loss)
     code = run(["train", "--config", str(tiny_train_cfg(tmp_path))])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
@@ -303,11 +303,25 @@ OLD_SIDECAR = {
 
 
 def test_derived_schema_equals_the_hand_written_one():
-    from boundedattn.cli import DEFAULTS, KEYS
+    # the hand-written schema without its retired keys, which configs and
+    # sidecars may still carry but which new ones no longer hold
+    from boundedattn.cli import DEFAULTS, KEYS, RETIRED
 
+    assert {s: set(keys) for s, keys in RETIRED.items()} == {
+        "model": {"temperature", "tie_phi_across_layers"},
+        "strategy": {"activation", "normalization"},
+    }
     sections = {k for k, v in KEYS.items() if isinstance(v, dict)}
-    assert {"": set(KEYS), **{s: set(KEYS[s]) for s in sections}} == OLD_SCHEMA
-    assert DEFAULTS == OLD_DEFAULTS
+    assert {"": set(KEYS), **{s: set(KEYS[s]) for s in sections}} == {
+        s: keys - set(RETIRED.get(s, ())) for s, keys in OLD_SCHEMA.items()}
+    assert DEFAULTS == {
+        k: {key: v for key, v in value.items() if key not in RETIRED.get(k, ())}
+        if isinstance(value, dict) else value
+        for k, value in OLD_DEFAULTS.items()}
+    # each retired key still loads at the value the hand-written default had
+    for section, keys in RETIRED.items():
+        for key, (_, legal) in keys.items():
+            assert OLD_DEFAULTS[section][key] in legal, (section, key)
 
 
 def test_every_flag_names_a_config_key():
@@ -323,9 +337,13 @@ def test_every_flag_names_a_config_key():
 
 
 def test_decode_loads_a_sidecar_written_before_the_derived_schema(tmp_path, capsys):
+    # OLD_SIDECAR carries the four retired keys at their one values
     cfg = tiny_train_cfg(tmp_path)
     assert run(["train", "--config", str(cfg)]) == 0
     ckpt = tmp_path / "out" / "model.bin"
+    saved = json.loads((tmp_path / "out" / "model.json").read_text())
+    assert not {"temperature", "tie_phi_across_layers"} & set(saved["model"])
+    assert not {"activation", "normalization"} & set(saved["strategy"])
     argv = ["decode", "--ckpt", str(ckpt), "--prefix", "0,2,3", "--max-len", "5"]
     capsys.readouterr()
     assert run(argv) == 0
@@ -359,9 +377,14 @@ def test_decode_rejects_a_sidecar_string_for_a_number(tmp_path, capsys):
     (["train"], {"model": {"lr": True}}, "model.lr"),
     (["train"], {"model": {"layers": "3"}}, "model.layers"),
     (["train"], {"model": {"lr": "1e-2"}}, "model.lr"),
+    # retired keys at another value than their one
+    (["train"], {"model": {"temperature": 0.5}}, "model.temperature"),
+    (["train"], {"model": {"tie_phi_across_layers": False}}, "model.tie_phi_across_layers"),
+    (["train"], {"model": {"tie_phi_across_layers": 1}}, "model.tie_phi_across_layers"),
 ], ids=["train-n", "bench-lens", "decode-prefix", "out_dir", "model.temperature",
         "bool-from-string", "int-from-fraction", "int-from-bool", "float-from-bool",
-        "int-from-string", "float-from-string"])
+        "int-from-string", "float-from-string", "retired-temperature", "retired-untied",
+        "retired-tie-as-one"])
 def test_bad_value_exits_two_naming_its_flag_or_key(tmp_path, capsys, argv, bad, name):
     path = tiny_train_cfg(tmp_path)
     cfg = json.loads(path.read_text())
@@ -382,3 +405,36 @@ def test_decode_rejects_an_empty_prefix(tmp_path, capsys):
     capsys.readouterr()
     assert run(["decode", "--ckpt", str(tmp_path / "out" / "model.bin"), "--prefix", ""]) == 2
     assert "decode.prefix is empty" in capsys.readouterr().err
+
+
+def _trained_checkpoint(tmp_path, capsys):
+    assert run(["train", "--config", str(tiny_train_cfg(tmp_path))]) == 0
+    capsys.readouterr()
+    return tmp_path / "out" / "model.bin"
+
+
+def test_decode_refuses_a_checkpoint_holding_nan(tmp_path, capsys):
+    from boundedattn import checkpoint
+
+    ckpt = _trained_checkpoint(tmp_path, capsys)
+    arrays = checkpoint.load_arrays(ckpt)
+    arrays["out_w"][3, 1] = np.nan
+    checkpoint.save_arrays(ckpt, arrays)
+    assert run(["decode", "--ckpt", str(ckpt), "--prefix", "0,2", "--max-len", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "'out_w' holds NaN or Inf" in captured.err
+
+
+def test_decode_that_overflows_exits_one(tmp_path, capsys):
+    # a finite checkpoint whose query projection overflows at the first step
+    from boundedattn import checkpoint
+
+    ckpt = _trained_checkpoint(tmp_path, capsys)
+    arrays = checkpoint.load_arrays(ckpt)
+    arrays["dec0.attn.wq"][:] = 1e308
+    checkpoint.save_arrays(ckpt, arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["decode", "--ckpt", str(ckpt), "--prefix", "0,2", "--max-len", "5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("decode failed: dec0 attn (causal, mlp):"), err

@@ -14,6 +14,11 @@ runs in a fresh interpreter with BLAS at one thread.  It records
   three seq2seq configs of acceptance criterion 9;
 * the 512 greedy tokens and their logits of the four ``decode_stream``
   models (batch 4, an 8-token prompt fed through ``step``);
+* the curve and parameters after 15 steps of ``tm.train`` on a small
+  mlp LM and a small mlp seq2seq model, then each model's argmax
+  predictions and logits from ``forward`` on a held-out copy batch and its
+  ``tm.greedy_decode`` tokens for that batch's prompt (the LM's prefix up to
+  the separator, the seq2seq model's source);
 * every verify suite's ``max_err``;
 * the gradients of one ``encoder_self`` layer under a control without
   weights (``compressive``), whose backward reads no keys or values.
@@ -112,6 +117,31 @@ def probe(tree: Path, path: Path) -> None:
             nxt = tokens[:, t] = logits[:, t].argmax(axis=-1)
         out[f"decode/{kind}/tokens"] = tokens
         out[f"decode/{kind}/logits"] = logits
+
+    # tm.train, held-out forward and tm.greedy_decode of both model kinds
+    task = tm.TaskSpec(kind="copy", min_len=8, max_len=8, vocab=16)
+    small = dict(layers=2, d_model=32, heads=4, ffn_mult=2, vocab=16, max_positions=18,
+                 batch_size=4, causal=site("mlp", 8), seed=SEED)
+    models = {
+        "lm": tm.ToyLM(tm.ToyModelConfig(**small), rng=make_rng(SEED)),
+        "s2s": tm.ToySeq2Seq(tm.ToyModelConfig(encoder=site("mlp", 8), cross=site("mlp", 8), **small),
+                             rng=make_rng(SEED)),
+    }
+    for name, model in models.items():
+        out[f"{name}/train/curve"] = tm.train(model, task, STEPS, make_rng(SEED + 2))
+        for k, v in model.params.items():
+            out[f"{name}/train/param/{k}"] = v
+        held = make_rng(SEED + 3)
+        if name == "lm":
+            tokens, _ = tm.TaskSampler(task).sample(4, held)
+            logits, _ = model.forward(tokens)
+            prompt = tokens[:, :10]  # BOS, the payload, SEP
+        else:
+            prompt, tgt_in, _, _ = tm.TaskSampler(task).sample_pair(4, held)
+            logits, _ = model.forward(prompt, tgt_in)
+        out[f"{name}/heldout/logits"] = logits
+        out[f"{name}/heldout/argmax"] = logits.argmax(axis=-1)
+        out[f"{name}/greedy"] = tm.greedy_decode(model, prompt, 8)
 
     for res in verify.run_suites():
         out[f"verify/{res.name}/max_err"] = res.max_err
